@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 
@@ -57,6 +58,8 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
         raise ConfigError(f"non-numeric grid specification {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     count = int((stop - start) / step + 1e-9)
@@ -324,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         "markovian": _cmd_markovian,
     }
     try:
+        if not math.isfinite(args.backflow_tol):
+            raise ConfigError(f"--backflow-tol must be finite, got {args.backflow_tol}")
         header, columns, rows, footer = runners[args.command](args)
     except InvariantViolationError as exc:
         print(f"qcollide: numerical invariant violated: {exc}", file=sys.stderr)

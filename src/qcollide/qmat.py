@@ -1,8 +1,7 @@
 """Dense complex linear algebra for small multi-qubit registers (dim <= 16).
 
 All operations are pure functions on numpy arrays and never mutate their
-inputs. Eigenvalue problems are solved with cyclic Jacobi rotations, which
-is robust and exactly testable at these sizes.
+inputs. Eigenvalue problems go to LAPACK through ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -12,13 +11,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Largest off-diagonal magnitude at which a Jacobi sweep is considered converged.
-JACOBI_TOL = 1e-13
-
 # Hermitian-only operations reject inputs with ||h - h^dag||_max above this.
 HERMITICITY_TOL = 1e-10
-
-_MAX_SWEEPS = 64
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -81,70 +75,15 @@ def partial_transpose(rho: np.ndarray, dims: Sequence[int], subsystem: int = 0) 
     return t.transpose(axes).reshape(da * db, da * db)
 
 
-def _jacobi(h: np.ndarray, want_vectors: bool, off_tol: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalize a Hermitian matrix in place by cyclic complex Jacobi rotations."""
-    # Symmetrizing first keeps the rotations exact when the input sits right
-    # at the Hermiticity tolerance.
-    a = np.asarray(h, dtype=complex)
-    a = (a + a.conj().T) / 2
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            row_max = float(np.max(np.abs(a[i, i + 1:])))
-            if row_max > off:
-                off = row_max
-        if off < off_tol:
-            return a, v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                ab = abs(beta)
-                if ab == 0.0:
-                    continue
-                phase = beta / ab
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * ab)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sc = (t * c) * phase
-                # a <- R^dag a R with R = I except R[pp]=c, R[pq]=sc,
-                # R[qp]=-conj(sc), R[qq]=c; this zeroes a[p, q].
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sc * row_q
-                a[q, :] = np.conj(sc) * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(sc) * col_q
-                a[:, q] = sc * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - np.conj(sc) * vq
-                    v[:, q] = sc * vp + c * vq
-    raise ArithmeticError("Jacobi iteration did not converge")
-
-
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
-    a = _require_hermitian(h, "h")
-    d, _ = _jacobi(a, want_vectors=False, off_tol=JACOBI_TOL)
-    return np.sort(d.diagonal().real)
+    return np.linalg.eigvalsh(_require_hermitian(h, "h"))
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching eigenvector columns of a Hermitian matrix."""
-    a = _require_hermitian(h, "h")
-    d, v = _jacobi(a, want_vectors=True, off_tol=JACOBI_TOL)
-    vals = d.diagonal().real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    vals, vecs = np.linalg.eigh(_require_hermitian(h, "h"))
+    return vals, vecs
 
 
 def trace_norm_hermitian(h: np.ndarray) -> float:
@@ -153,26 +92,7 @@ def trace_norm_hermitian(h: np.ndarray) -> float:
 
 
 def is_positive_semidefinite(h: np.ndarray, tol: float = 0.0) -> bool:
-    """True when the smallest eigenvalue of Hermitian ``h`` is >= -tol.
-
-    Attempts a Cholesky factorization of ``h + tol*I`` first, which is much
-    cheaper than a full eigensolve; falls back to eigenvalues on failure.
-    """
-    a = _require_hermitian(h, "h")
-    if _cholesky_succeeds(a + tol * np.eye(a.shape[0])):
-        return True
-    return bool(hermitian_eigenvalues(a)[0] >= -tol)
-
-
-def _cholesky_succeeds(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    ell = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        d = a[j, j].real - float(np.sum(np.abs(ell[j, :j]) ** 2))
-        if d <= 0.0:
-            return False
-        ell[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            s = a[j + 1:, j] - ell[j + 1:, :j] @ ell[j, :j].conj()
-            ell[j + 1:, j] = s / ell[j, j]
-    return True
+    """True when Hermitian ``h`` has no eigenvalue below -tol (LAPACK, via ``numpy.linalg``)."""
+    # Not routed through hermitian_eigenvalues, so that invariant checks and
+    # metric eigen-solves stay separate layers in a traced benchmark run.
+    return bool(np.linalg.eigvalsh(_require_hermitian(h, "h"))[0] >= -tol)

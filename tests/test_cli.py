@@ -43,6 +43,26 @@ class TestGridParsing:
             cli.parse_grid("a:b:c")
 
 
+class TestNonFiniteInput:
+    """Infinite or NaN numbers are configuration errors: exit 2, no traceback."""
+
+    def test_infinite_grid_stop_exits_two(self, tmp_path, capsys):
+        code, _ = run(["orbit", "--p-grid", "0:inf:1"], tmp_path)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_grid_step_exits_two(self, tmp_path, capsys):
+        code, _ = run(["markovian", "--p-grid", "0:1:inf"], tmp_path)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_backflow_tol_exits_two(self, tmp_path, capsys):
+        code, path = run(["markovian", "--p", "0.5", "--backflow-tol", "nan"], tmp_path)
+        assert code == 2
+        assert "--backflow-tol" in capsys.readouterr().err
+        assert not path.exists()
+
+
 class TestTrajectoryCommand:
     def test_single_scenario_columns_and_cycle(self, tmp_path):
         code, path = run(
