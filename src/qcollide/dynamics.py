@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,18 +89,46 @@ def random_schedule(
     return Schedule(n_qubits=n_qubits, events=tuple(pairs[k] for k in idx), seed=int(seed))
 
 
+def _factorises(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first copy in a (B, d, d) stack that broke an invariant, and why.
+
+    Trace and Hermiticity are tested on the whole stack at once. Positivity is
+    one batched Cholesky factorisation of rho + POSITIVITY_FLOOR * I, which
+    succeeds exactly when no eigenvalue lies below -POSITIVITY_FLOOR (to about
+    1e-15, by Cholesky's backward stability). The comparisons count NaN as
+    drift. Copies are examined one by one, and an eigenvalue is computed,
+    only to report a failure.
+    """
+    shifted = rhos + POSITIVITY_FLOOR * np.eye(rhos.shape[-1])
+    trace_ok = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) < TRACE_TOL
+    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
+    herm_ok = herm_dev < qmat.HERMITICITY_TOL
+    if trace_ok.all() and herm_ok.all() and _factorises(shifted):
+        return None
+    for k, rho in enumerate(rhos):
+        if not trace_ok[k]:
+            return k, f"trace drifted to {complex(np.trace(rho))!r}"
+        if not herm_ok[k]:
+            return k, f"Hermiticity deviation {herm_dev[k]:.3e}"
+        if not _factorises(shifted[k]):
+            lam = np.linalg.eigvalsh(rho)[0]
+            return k, f"negative eigenvalue {lam:.3e} below floor"
+    return None
+
+
 def check_register(reg: Register) -> None:
     """Raise InvariantViolationError when a register drifted out of bounds."""
-    rho = reg.rho
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) >= TRACE_TOL:
-        raise InvariantViolationError(f"trace drifted to {tr!r}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev >= qmat.HERMITICITY_TOL:
-        raise InvariantViolationError(f"Hermiticity deviation {herm_dev:.3e}")
-    if not qmat.is_positive_semidefinite(rho, tol=POSITIVITY_FLOOR):
-        lam = qmat.hermitian_eigenvalues(rho)[0]
-        raise InvariantViolationError(f"negative eigenvalue {lam:.3e} below floor")
+    violation = _first_violation(np.asarray(reg.rho, dtype=complex)[np.newaxis])
+    if violation is not None:
+        raise InvariantViolationError(violation[1])
 
 
 def collide(reg: Register, pair: tuple[int, int], p: float) -> Register:
@@ -164,22 +192,27 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
-def _record_step(n: int, registers: list[Register]) -> StepRecord:
-    nq = registers[0].n_qubits
-    dims = [2] * nq
-    rho_a = qmat.partial_trace(registers[0].rho, dims, keep=0)
+def _record_step(n: int, rhos: np.ndarray) -> StepRecord:
+    """Metrics of a (B, d, d) stack of register copies after the n-th collision.
+
+    Copy 0 supplies the single-register fields; with two copies, the trace
+    distance of their reduced system states is recorded as well.
+    """
+    dim = rhos.shape[-1]
+    half = dim // 2
+    rho_as = np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
+    rho_a = rho_as[0]
     rec: dict = {
         "n": n,
         "coherence_a": metrics.l1_coherence(rho_a),
         "rho_a_diag": (float(rho_a[0, 0].real), float(rho_a[1, 1].real)),
     }
-    if nq == 2:
-        rho_env = qmat.partial_trace(registers[0].rho, dims, keep=1)
+    if dim == 4:
+        rho_env = np.einsum("ijik->jk", rhos[0].reshape(2, 2, 2, 2))
         rec["coherence_env"] = metrics.l1_coherence(rho_env)
-        rec["negativity"] = metrics.negativity(registers[0].rho, (2, 2))
-    if len(registers) == 2:
-        rho_a2 = qmat.partial_trace(registers[1].rho, dims, keep=0)
-        rec["trace_distance"] = metrics.trace_distance(rho_a, rho_a2)
+        rec["negativity"] = metrics.negativity(rhos[0], (2, 2))
+    if len(rhos) == 2:
+        rec["trace_distance"] = metrics.trace_distance(rho_a, rho_as[1])
     return StepRecord(**rec)
 
 
@@ -195,7 +228,10 @@ def run_trajectory(
 
     ``systems`` is a single pure system state or a pair of them; with a pair,
     both registers see the identical collision sequence and the trace
-    distance of the reduced system states is recorded at every step.
+    distance of the reduced system states is recorded at every step. The
+    copies evolve as one (B, d, d) stack, each pair's unitary is built once
+    per call, and with ``check`` every copy is checked after every collision;
+    a violation names the step, the pair, p and the copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
@@ -203,20 +239,30 @@ def run_trajectory(
         raise ValueError(
             f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
         )
-    registers = [composite_initial(s, anc) for s in states]
-    records = [_record_step(0, registers)]
-    for n, pair in enumerate(schedule.events, start=1):
-        registers = [collide(r, pair, p) for r in registers]
+    initial = [composite_initial(s, anc) for s in states]
+    rhos = np.stack([reg.rho for reg in initial])
+    records = [_record_step(0, rhos)]
+    unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for n, (i, j) in enumerate(schedule.events, start=1):
+        if (i, j) not in unitaries:
+            u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
+            unitaries[i, j] = (u, u.conj().T)
+        u, uh = unitaries[i, j]
+        rhos = u @ rhos @ uh
         if check:
-            for reg in registers:
-                check_register(reg)
-        records.append(_record_step(n, registers))
+            violation = _first_violation(rhos)
+            if violation is not None:
+                copy, reason = violation
+                raise InvariantViolationError(
+                    f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
+                )
+        records.append(_record_step(n, rhos))
     return Trajectory(
         steps=tuple(records),
         p=float(p),
         weights=tuple((a.w_g, a.w_e) for a in anc),
         schedule=schedule,
-        final_registers=tuple(registers),
+        final_registers=tuple(replace(reg, rho=rho) for reg, rho in zip(initial, rhos)),
     )
 
 

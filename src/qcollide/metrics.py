@@ -16,8 +16,11 @@ BACKFLOW_TOL = 1e-9
 
 def l1_coherence(rho: np.ndarray) -> float:
     """Sum of absolute off-diagonal entries in the fixed energy basis."""
-    a = np.asarray(rho, dtype=complex)
-    return float(np.sum(np.abs(a)) - np.sum(np.abs(np.diag(a))))
+    # Summing only the off-diagonal magnitudes keeps their relative precision
+    # when they are far below the diagonal; sum|a| - sum|diag| would cancel them.
+    mags = np.abs(np.asarray(rho, dtype=complex))
+    np.fill_diagonal(mags, 0.0)
+    return float(mags.sum())
 
 
 def negativity(rho: np.ndarray, dims: Sequence[int]) -> float:

@@ -34,3 +34,20 @@ def test_trace_norm_of_tiny_off_diagonal():
     assert qmat.trace_norm_hermitian(np.array([[0.0, eps], [eps, 0.0]])) == pytest.approx(
         2 * eps, rel=1e-15, abs=0.0
     )
+
+
+def test_markovian_cli_coherence_matches_closed_form_down_to_1e_300(tmp_path):
+    # The plus state's l1 coherence under the fresh-ancilla map is also
+    # (1-p)^(n/2); it must not cancel against the diagonal and print as 0.
+    path = tmp_path / "mk.csv"
+    code = cli.main(["markovian", "--p-grid", "0.05:0.95:0.05",
+                     "--collisions", str(N_COLLISIONS), "--out", str(path)])
+    assert code == 0
+    _, columns, rows = cli.read_csv_output(str(path))
+    n = np.array([float(r[columns.index("n")]) for r in rows])
+    p = np.array([float(r[columns.index("p")]) for r in rows])
+    got = np.array([float(r[columns.index("coherence")]) for r in rows])
+    exact = (1.0 - p) ** (n / 2)
+    resolved = exact >= 1e-300
+    np.testing.assert_allclose(got[resolved], exact[resolved], rtol=1e-12, atol=0.0)
+    assert int(resolved.sum()) > 25_000
