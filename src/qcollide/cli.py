@@ -141,7 +141,25 @@ def _ancilla(args) -> ThermalAncilla:
 
 
 def _window_or_none(args) -> tuple[int, int] | None:
-    return parse_window(args.window) if args.window is not None else None
+    """The --window range, which must end by the last collision index, or None."""
+    if args.window is None:
+        return None
+    a, b = parse_window(args.window)
+    if b > args.collisions + 1:
+        raise ConfigError(
+            f"window {args.window!r} ends past collision {args.collisions}; "
+            f"it must lie within 0:{args.collisions + 1}"
+        )
+    return a, b
+
+
+def _grid_or_ps(args) -> list[float] | None:
+    """The --p-grid points, else the --p values (None when neither is given)."""
+    if args.p_grid is None:
+        return args.p
+    if args.p is not None:
+        raise ConfigError("give either --p or --p-grid, not both")
+    return parse_grid(args.p_grid)
 
 
 def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
@@ -151,6 +169,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     if args.collisions < 1:
         raise ConfigError("--collisions must be at least 1")
     ancilla = _ancilla(args)
+    window = _window_or_none(args)
     n_qubits = 1 + args.ancillas
     if args.ancillas == 1:
         scenario = "single"
@@ -167,7 +186,6 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS),
         [ancilla] * args.ancillas, p, schedule,
     )
-    window = _window_or_none(args)
     header = {
         "command": "trajectory",
         "scenario": scenario,
@@ -204,14 +222,11 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
 
 
 def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
-    if args.p_grid is not None:
-        if args.p is not None:
-            raise ConfigError("give either --p or --p-grid, not both")
-        grid = parse_grid(args.p_grid)
-    elif args.p is not None and len(args.p) == 1:
-        grid = [args.p[0]]
-    else:
+    grid = _grid_or_ps(args)
+    if args.p_grid is None and (grid is None or len(grid) != 1):
         raise ConfigError("orbit needs --p-grid or a single --p")
+    if args.ancillas != 1:
+        raise ConfigError(f"orbit has one ancilla; --ancillas must be 1, got {args.ancillas}")
     if args.collisions < 1:
         raise ConfigError("--collisions must be at least 1")
     window = _window_or_none(args) or default_window(args.collisions)
@@ -233,12 +248,10 @@ def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
 
 
 def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
-    if args.p_grid is not None:
-        ps = parse_grid(args.p_grid)
-    elif args.p:
-        ps = sorted(args.p)
-    else:
+    ps = _grid_or_ps(args)
+    if not ps:
         raise ConfigError("markovian needs one or more --p values or --p-grid")
+    ps = sorted(ps)
     if args.collisions < 1:
         raise ConfigError("--collisions must be at least 1")
     ancilla = _ancilla(args)

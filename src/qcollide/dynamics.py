@@ -192,28 +192,58 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
+def _system_reductions(rhos: np.ndarray) -> np.ndarray:
+    """Reduced system-qubit states of a (B, d, d) stack of register copies."""
+    half = rhos.shape[-1] // 2
+    return np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
+
+
 def _record_step(n: int, rhos: np.ndarray) -> StepRecord:
     """Metrics of a (B, d, d) stack of register copies after the n-th collision.
 
     Copy 0 supplies the single-register fields; with two copies, the trace
     distance of their reduced system states is recorded as well.
     """
-    dim = rhos.shape[-1]
-    half = dim // 2
-    rho_as = np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
+    rho_as = _system_reductions(rhos)
     rho_a = rho_as[0]
     rec: dict = {
         "n": n,
         "coherence_a": metrics.l1_coherence(rho_a),
         "rho_a_diag": (float(rho_a[0, 0].real), float(rho_a[1, 1].real)),
     }
-    if dim == 4:
+    if rhos.shape[-1] == 4:
         rho_env = np.einsum("ijik->jk", rhos[0].reshape(2, 2, 2, 2))
         rec["coherence_env"] = metrics.l1_coherence(rho_env)
         rec["negativity"] = metrics.negativity(rhos[0], (2, 2))
     if len(rhos) == 2:
         rec["trace_distance"] = metrics.trace_distance(rho_a, rho_as[1])
     return StepRecord(**rec)
+
+
+def _evolve(rhos: np.ndarray, schedule: Schedule, p: float, check: bool = True):
+    """Step a (B, d, d) stack of register copies through ``schedule``.
+
+    Yields ``(0, rhos)`` first and then ``(n, rhos)`` after the n-th
+    collision. Each pair's unitary is built once per call. With ``check``
+    every copy is checked after every collision, and a violation names the
+    step, the pair, p and the copy.
+    """
+    yield 0, rhos
+    unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for n, (i, j) in enumerate(schedule.events, start=1):
+        if (i, j) not in unitaries:
+            u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
+            unitaries[i, j] = (u, u.conj().T)
+        u, uh = unitaries[i, j]
+        rhos = u @ rhos @ uh
+        if check:
+            violation = _first_violation(rhos)
+            if violation is not None:
+                copy, reason = violation
+                raise InvariantViolationError(
+                    f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
+                )
+        yield n, rhos
 
 
 def run_trajectory(
@@ -240,22 +270,8 @@ def run_trajectory(
             f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
         )
     initial = [composite_initial(s, anc) for s in states]
-    rhos = np.stack([reg.rho for reg in initial])
-    records = [_record_step(0, rhos)]
-    unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for n, (i, j) in enumerate(schedule.events, start=1):
-        if (i, j) not in unitaries:
-            u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
-            unitaries[i, j] = (u, u.conj().T)
-        u, uh = unitaries[i, j]
-        rhos = u @ rhos @ uh
-        if check:
-            violation = _first_violation(rhos)
-            if violation is not None:
-                copy, reason = violation
-                raise InvariantViolationError(
-                    f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
-                )
+    records = []
+    for n, rhos in _evolve(np.stack([reg.rho for reg in initial]), schedule, p, check):
         records.append(_record_step(n, rhos))
     return Trajectory(
         steps=tuple(records),
@@ -333,6 +349,15 @@ class OrbitDiagram:
     metric: str
 
 
+# Each orbit metric as a function of the (B, 4, 4) stack, computed as in
+# _record_step; the trace distance is taken between two copies.
+_ORBIT_METRICS = {
+    "coherence": lambda rhos: metrics.l1_coherence(_system_reductions(rhos)[0]),
+    "trace_distance": lambda rhos: metrics.trace_distance(*_system_reductions(rhos)),
+    "negativity": lambda rhos: metrics.negativity(rhos[0], (2, 2)),
+}
+
+
 def default_window(n_collisions: int) -> tuple[int, int]:
     """Half-open collision-index range covering the last 60 collisions."""
     return (max(0, n_collisions + 1 - ORBIT_WINDOW_LEN), n_collisions + 1)
@@ -351,26 +376,30 @@ def orbit_sweep(
     """Sweep the single-ancilla repeated-collision scenario over a p grid.
 
     For each p the chosen metric series is recorded over ``window`` (a
-    half-open range of collision indices, by default the last 60). Grid
-    points are independent, so they may be computed in any order; results
-    are stored in grid order.
+    half-open range of collision indices, by default the last 60). Only the
+    requested metric is computed, and only inside the window, with the same
+    reductions and ``metrics`` functions as ``run_trajectory``, so the values
+    equal its series; every collision, before the window too, is still
+    checked. Grid points are independent, so they may be computed in any
+    order; results are stored in grid order.
     """
     grid = tuple(float(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
-    if metric not in ("coherence", "trace_distance", "negativity"):
+    if metric not in _ORBIT_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    value = _ORBIT_METRICS[metric]
     if window is None:
         window = default_window(n_collisions)
     start, stop = window
     if not 0 <= start < stop <= n_collisions + 1:
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
     schedule = repeated_schedule(2, (0, 1), n_collisions)
-    field = "coherence_a" if metric == "coherence" else metric
+    states = (system, partner) if metric == "trace_distance" else (system,)
     values = []
     for p in grid:
-        systems = (system, partner) if metric == "trace_distance" else system
-        traj = run_trajectory(systems, ancilla, p, schedule)
-        series = traj._series(field)
-        values.append(tuple(float(x) for x in series[start:stop]))
+        initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
+        values.append(tuple(
+            value(rhos) for n, rhos in _evolve(initial, schedule, p) if start <= n < stop
+        ))
     return OrbitDiagram(p_grid=grid, values=tuple(values), window=(start, stop), metric=metric)

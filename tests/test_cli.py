@@ -205,6 +205,13 @@ class TestOrbitCommand:
         code, _ = run(["orbit"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_rejects_other_than_one_ancilla(self, tmp_path, capsys, n):
+        code, path = run(["orbit", "--p", "0.5", "--ancillas", str(n)], tmp_path)
+        assert code == 2
+        assert "--ancillas must be 1" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestMarkovianCommand:
     def test_columns_and_monotonicity(self, tmp_path):
@@ -239,6 +246,37 @@ class TestMarkovianCommand:
     def test_requires_probability(self, tmp_path):
         code, _ = run(["markovian"], tmp_path)
         assert code == 2
+
+    def test_p_and_p_grid_exit_two(self, tmp_path, capsys):
+        code, path = run(["markovian", "--p", "0.3", "--p-grid", "0.5:0.6:0.1"], tmp_path)
+        assert code == 2
+        assert "give either --p or --p-grid, not both" in capsys.readouterr().err
+        assert not path.exists()
+
+
+class TestWindowRange:
+    @pytest.mark.parametrize("command", [
+        ["trajectory", "--p", "0.5"],
+        ["orbit", "--p", "0.5"],
+        ["markovian", "--p", "0.5"],
+    ])
+    @pytest.mark.parametrize("window", ["50:60", "5:12"])
+    def test_window_past_last_collision_exits_two(self, tmp_path, capsys, command, window):
+        code, path = run(command + ["--collisions", "10", "--window", window], tmp_path)
+        assert code == 2
+        assert "past collision 10" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["trajectory", "--p", "0.5"],
+        ["orbit", "--p", "0.5"],
+        ["markovian", "--p", "0.5"],
+    ])
+    def test_window_through_last_collision_is_accepted(self, tmp_path, command):
+        code, path = run(command + ["--collisions", "10", "--window", "0:11"], tmp_path)
+        assert code == 0
+        _, _, rows = cli.read_csv_output(str(path))
+        assert len(rows) == 11
 
 
 class TestOutputPlumbing:
