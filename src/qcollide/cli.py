@@ -27,6 +27,7 @@ from .dynamics import (
 from .metrics import BACKFLOW_TOL, backflow_events
 from .model import ThermalAncilla
 
+MAX_GRID_POINTS = 10**6  # parse_grid rejects a grid of more points
 _EPILOG = {
     "trajectory": (
         "Columns with one ancilla: n,coherence_A,coherence_env,negativity,"
@@ -62,10 +63,13 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0:
         raise ConfigError(f"grid step must be positive, got {step}")
-    count = int((stop - start) / step + 1e-9)
-    if stop < start or count < 0:
+    if stop < start:
         raise ConfigError(f"grid {spec!r} is empty")
-    return [start + k * step for k in range(count + 1)]
+    # A float first: a huge span over a tiny step overflows int() or the memory.
+    count = (stop - start) / step + 1e-9
+    if not count < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(int(count) + 1)]
 
 
 def parse_window(spec: str) -> tuple[int, int]:
@@ -97,41 +101,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qcollide {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("trajectory", "metric series of one collision run"),
-        ("orbit", "long-term coherence values over a probability grid"),
-        ("markovian", "fresh-ancilla (infinite bath) evolution"),
+    for name, run, help_text, p_help in (
+        ("trajectory", _cmd_trajectory, "metric series of one collision run",
+         "interaction probability"),
+        ("orbit", _cmd_orbit, "long-term coherence values over a probability grid",
+         "one interaction probability, in place of --p-grid"),
+        ("markovian", _cmd_markovian, "fresh-ancilla (infinite bath) evolution",
+         "interaction probability (repeatable)"),
     ):
         cmd = sub.add_parser(name, help=help_text, epilog=_EPILOG[name])
-        cmd.add_argument("--p", action="append", type=float, default=None,
-                         metavar="X", help="interaction probability (repeatable for markovian)")
-        cmd.add_argument("--p-grid", default=None, metavar="A:B:STEP",
-                         help="inclusive probability grid")
+        cmd.set_defaults(run=run)
+        cmd.add_argument("--p", action="append", type=float, metavar="X", help=p_help)
         cmd.add_argument("--wg", type=float, default=0.8, metavar="X",
                          help="ancilla ground-state weight (default 0.8)")
-        cmd.add_argument("--ancillas", type=int, default=1, metavar="N",
-                         help="number of thermal ancillas, 1..3 (default 1)")
         cmd.add_argument("--collisions", type=int, default=100, metavar="N",
                          help="number of collisions (default 100)")
-        cmd.add_argument("--seed", type=int, default=None, metavar="N",
-                         help="seed for the random collision schedule")
-        cmd.add_argument("--window", default=None, metavar="A:B",
-                         help="half-open range of collision indices to emit")
-        cmd.add_argument("--restrict-system-ancilla", action="store_true",
-                         help="draw only system-ancilla pairs in random schedules")
-        cmd.add_argument("--backflow-tol", type=float, default=BACKFLOW_TOL, metavar="X",
-                         help=f"revival detection tolerance (default {BACKFLOW_TOL})")
+        cmd.add_argument("--window", metavar="A:B", help="emit only collision indices in [A, B)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
-        cmd.add_argument("--out", default=None, metavar="PATH",
-                         help="output file (default: standard output)")
+        cmd.add_argument("--out", metavar="PATH", help="output file (default: standard output)")
+    trajectory, orbit, markovian = sub.choices.values()
+    for cmd in (orbit, markovian):
+        cmd.add_argument("--p-grid", metavar="A:B:STEP", help="inclusive probability grid")
+    for cmd in (trajectory, markovian):
+        cmd.add_argument("--backflow-tol", type=float, default=BACKFLOW_TOL, metavar="X",
+                         help=f"revival detection tolerance (default {BACKFLOW_TOL})")
+    trajectory.add_argument("--ancillas", type=int, default=1, metavar="N",
+                            help="number of thermal ancillas, 1..3 (default 1)")
+    trajectory.add_argument("--seed", type=int, metavar="N",
+                            help="seed for the random collision schedule of 2 or 3 ancillas")
+    trajectory.add_argument("--restrict-system-ancilla", action="store_true",
+                            help="draw only system-ancilla pairs in the random schedule")
+    orbit.add_argument("--ancillas", type=int, default=1, metavar="N",
+                       help="only 1: the orbit diagram is the single-ancilla scenario")
     return parser
 
 
-def _single_p(args) -> float:
-    if args.p_grid is not None or args.p is None or len(args.p) != 1:
-        raise ConfigError("this command needs exactly one --p value")
-    return args.p[0]
+def _backflow_tol(args) -> float:
+    if not math.isfinite(args.backflow_tol):
+        raise ConfigError(f"--backflow-tol must be finite, got {args.backflow_tol}")
+    return args.backflow_tol
 
 
 def _ancilla(args) -> ThermalAncilla:
@@ -163,15 +172,18 @@ def _grid_or_ps(args) -> list[float] | None:
 
 
 def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
-    p = _single_p(args)
+    if args.p is None or len(args.p) != 1:
+        raise ConfigError("this command needs exactly one --p value")
+    p = args.p[0]
     if not 1 <= args.ancillas <= 3:
         raise ConfigError(f"--ancillas must be 1..3, got {args.ancillas}")
-    if args.collisions < 1:
-        raise ConfigError("--collisions must be at least 1")
+    tol = _backflow_tol(args)
     ancilla = _ancilla(args)
     window = _window_or_none(args)
     n_qubits = 1 + args.ancillas
     if args.ancillas == 1:
+        if args.seed is not None or args.restrict_system_ancilla:
+            raise ConfigError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
         scenario = "single"
         seed = None
         schedule = repeated_schedule(2, (0, 1), args.collisions)
@@ -197,10 +209,8 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         "window": args.window,
         "restrict_system_ancilla": bool(args.restrict_system_ancilla),
         "format": args.format,
-        "backflow_tol": args.backflow_tol,
+        "backflow_tol": tol,
     }
-    if scenario == "multi":
-        header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
     if scenario == "single":
         columns = ["n", "coherence_A", "coherence_env", "negativity", "trace_distance"]
         rows = [
@@ -208,15 +218,16 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
             for s in traj.steps
         ]
     else:
+        header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
         columns = ["n", "coherence_A", "trace_distance"]
         rows = [[s.n, s.coherence_a, s.trace_distance] for s in traj.steps]
     if window is not None:
         rows = [r for r in rows if window[0] <= r[0] < window[1]]
-    report = backflow_events(traj.trace_distance_series(), tol=args.backflow_tol)
+    report = backflow_events(traj.trace_distance_series(), tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
-        f"(backflow_tol = {_fmt(args.backflow_tol)})"
+        f"(backflow_tol = {_fmt(tol)})"
     ]
     return header, columns, rows, footer
 
@@ -227,8 +238,6 @@ def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
         raise ConfigError("orbit needs --p-grid or a single --p")
     if args.ancillas != 1:
         raise ConfigError(f"orbit has one ancilla; --ancillas must be 1, got {args.ancillas}")
-    if args.collisions < 1:
-        raise ConfigError("--collisions must be at least 1")
     window = _window_or_none(args) or default_window(args.collisions)
     diagram = orbit_sweep(grid, args.collisions, window, ancilla=_ancilla(args))
     header = {
@@ -252,8 +261,7 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
     if not ps:
         raise ConfigError("markovian needs one or more --p values or --p-grid")
     ps = sorted(ps)
-    if args.collisions < 1:
-        raise ConfigError("--collisions must be at least 1")
+    tol = _backflow_tol(args)
     ancilla = _ancilla(args)
     window = _window_or_none(args)
     rows = []
@@ -265,10 +273,10 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         for s in traj.steps:
             if window is None or window[0] <= s.n < window[1]:
                 rows.append([s.n, p, s.trace_distance, s.coherence_a])
-        report = backflow_events(traj.trace_distance_series(), tol=args.backflow_tol)
+        report = backflow_events(traj.trace_distance_series(), tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "
-            f"(backflow_events = {len(report.events)}, backflow_tol = {_fmt(args.backflow_tol)})"
+            f"(backflow_events = {len(report.events)}, backflow_tol = {_fmt(tol)})"
         )
     header = {
         "command": "markovian",
@@ -278,7 +286,7 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         "n_collisions": args.collisions,
         "window": args.window,
         "format": args.format,
-        "backflow_tol": args.backflow_tol,
+        "backflow_tol": tol,
     }
     return header, ["n", "p", "trace_distance", "coherence"], rows, footer
 
@@ -334,15 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    runners = {
-        "trajectory": _cmd_trajectory,
-        "orbit": _cmd_orbit,
-        "markovian": _cmd_markovian,
-    }
     try:
-        if not math.isfinite(args.backflow_tol):
-            raise ConfigError(f"--backflow-tol must be finite, got {args.backflow_tol}")
-        header, columns, rows, footer = runners[args.command](args)
+        if args.collisions < 1:
+            raise ConfigError("--collisions must be at least 1")
+        header, columns, rows, footer = args.run(args)
     except InvariantViolationError as exc:
         print(f"qcollide: numerical invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -74,10 +74,6 @@ class Register:
     n_qubits: int
     labels: tuple[str, ...]
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
 
 def pure_qubit_density(q: PureQubit) -> np.ndarray:
     """Rank-1 projector of a pure qubit; entry (0, 1) is a * conj(b)."""

@@ -332,3 +332,45 @@ class TestOutputPlumbing:
         # 17 significant digits round-trip float64 exactly.
         assert value == f"{float(value):.17g}"
         assert float(value) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+
+class TestForeignFlags:
+    """A flag its run would ignore exits 2: argparse rejects flags a subcommand
+    does not declare, and one ancilla has no random schedule to seed or restrict."""
+
+    @pytest.mark.parametrize("argv", [
+        ["markovian", "--p", "0.5", "--ancillas", "2"],
+        ["markovian", "--p", "0.5", "--seed", "5"],
+        ["markovian", "--p", "0.5", "--restrict-system-ancilla"],
+        ["orbit", "--p", "0.5", "--seed", "5"],
+        ["orbit", "--p", "0.5", "--restrict-system-ancilla"],
+        ["orbit", "--p", "0.5", "--backflow-tol", "1e-3"],
+        ["trajectory", "--p", "0.5", "--p-grid", "0.5:0.6:0.1"],
+        ["trajectory", "--p", "0.5", "--seed", "5"],
+        ["trajectory", "--p", "0.5", "--ancillas", "1", "--restrict-system-ancilla"],
+    ])
+    def test_exits_two_without_output(self, tmp_path, capsys, argv):
+        code, path = run(argv + ["--collisions", "5"], tmp_path)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not path.exists()
+
+
+class TestGridPointCap:
+    def test_overflowing_point_count_exits_two(self, tmp_path, capsys):
+        code, path = run(["orbit", "--p-grid", "0:1e300:1e-300"], tmp_path)
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_grid_over_the_cap_exits_two(self, tmp_path, capsys):
+        code, path = run(["markovian", "--p-grid", "0:1:1e-12"], tmp_path)
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_cap_is_inclusive(self):
+        cap = cli.MAX_GRID_POINTS
+        assert len(cli.parse_grid(f"0:{cap - 1}:1")) == cap
+        with pytest.raises(cli.ConfigError, match="more than"):
+            cli.parse_grid(f"0:{cap}:1")
