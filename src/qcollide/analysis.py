@@ -28,32 +28,26 @@ class SeriesVerdict:
         return self.period is not None
 
 
-def detect_period(
-    series: Sequence[float],
-    tol: float = PERIOD_TOL,
-    max_period: int = MAX_PERIOD,
-    min_repeats: int = MIN_REPEATS,
-    window: int = VERDICT_WINDOW,
-    cluster_tol: float = CLUSTER_TOL,
-) -> SeriesVerdict:
+def detect_period(series: Sequence[float], window: int = VERDICT_WINDOW) -> SeriesVerdict:
     """Find the smallest period of the trailing ``window`` points, if any.
 
-    A period k is confirmed when |x(n+k) - x(n)| < tol for every n in the
-    window; k values whose cycle would fit fewer than ``min_repeats`` times
-    are not claimable. With no period up to ``max_period`` the verdict is
-    aperiodic. Verdicts are relative to the analyzed window by construction.
+    A period k is confirmed when |x(n+k) - x(n)| < PERIOD_TOL for every n in
+    the window; k values whose cycle would fit fewer than MIN_REPEATS times
+    are not claimable. With no period up to MAX_PERIOD the verdict is
+    aperiodic. Values are counted as distinct under CLUSTER_TOL. Verdicts are
+    relative to the analyzed window by construction.
     """
     x = np.asarray(series, dtype=float)
-    if len(x) < max_period * min_repeats:
+    if len(x) < MAX_PERIOD * MIN_REPEATS:
         raise ValueError(
-            f"series of length {len(x)} is too short; need at least {max_period * min_repeats}"
+            f"series of length {len(x)} is too short; need at least {MAX_PERIOD * MIN_REPEATS}"
         )
     tail = x[-window:]
-    n_distinct = distinct_values(tail, cluster_tol)
-    for k in range(1, max_period + 1):
-        if k * min_repeats > len(tail):
+    n_distinct = distinct_values(tail)
+    for k in range(1, MAX_PERIOD + 1):
+        if k * MIN_REPEATS > len(tail):
             break
-        if np.all(np.abs(tail[k:] - tail[:-k]) < tol):
+        if np.all(np.abs(tail[k:] - tail[:-k]) < PERIOD_TOL):
             return SeriesVerdict(period=k, n_distinct=n_distinct, label=f"periodic({k})")
     return SeriesVerdict(period=None, n_distinct=n_distinct, label="aperiodic")
 

@@ -28,6 +28,7 @@ from .metrics import BACKFLOW_TOL, backflow_events
 from .model import ThermalAncilla
 
 MAX_GRID_POINTS = 10**6  # parse_grid rejects a grid of more points
+MAX_COLLISIONS = 10**6  # main rejects a longer run
 _EPILOG = {
     "trajectory": (
         "Columns with one ancilla: n,coherence_A,coherence_env,negativity,"
@@ -213,14 +214,12 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     }
     if scenario == "single":
         columns = ["n", "coherence_A", "coherence_env", "negativity", "trace_distance"]
-        rows = [
-            [s.n, s.coherence_a, s.coherence_env, s.negativity, s.trace_distance]
-            for s in traj.steps
-        ]
+        fields = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
     else:
         header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
         columns = ["n", "coherence_A", "trace_distance"]
-        rows = [[s.n, s.coherence_a, s.trace_distance] for s in traj.steps]
+        fields = ["coherence_a", "trace_distance"]
+    rows = [[n, *row] for n, row in enumerate(zip(*(traj.columns[f] for f in fields)))]
     if window is not None:
         rows = [r for r in rows if window[0] <= r[0] < window[1]]
     report = backflow_events(traj.trace_distance_series(), tol=tol)
@@ -270,9 +269,10 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
-        for s in traj.steps:
-            if window is None or window[0] <= s.n < window[1]:
-                rows.append([s.n, p, s.trace_distance, s.coherence_a])
+        values = zip(traj.columns["trace_distance"], traj.columns["coherence_a"])
+        for n, (distance, coherence) in enumerate(values):
+            if window is None or window[0] <= n < window[1]:
+                rows.append([n, p, distance, coherence])
         report = backflow_events(traj.trace_distance_series(), tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "
@@ -343,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.collisions < 1:
-            raise ConfigError("--collisions must be at least 1")
+        if not 1 <= args.collisions <= MAX_COLLISIONS:
+            raise ConfigError(f"--collisions must be 1..{MAX_COLLISIONS}, got {args.collisions}")
         header, columns, rows, footer = args.run(args)
     except InvariantViolationError as exc:
         print(f"qcollide: numerical invariant violated: {exc}", file=sys.stderr)

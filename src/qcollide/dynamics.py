@@ -151,24 +151,31 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-collision metric records plus the configuration that produced them.
+    """Per-collision metric columns plus the configuration that produced them.
 
+    ``columns`` maps each recorded StepRecord field to its value after each
+    collision n = 0, 1, ...
     ``final_registers`` holds the evolved state of each tracked copy:
     Register objects for collision runs, bare 2x2 arrays for fresh-ancilla
     runs.
     """
 
-    steps: tuple[StepRecord, ...]
+    columns: dict[str, list]
     p: float
     weights: tuple[tuple[float, float], ...]
     schedule: Schedule | None
     final_registers: tuple
 
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """One StepRecord per collision index, rebuilt from ``columns``."""
+        rows = zip(*self.columns.values())
+        return tuple(StepRecord(n, **dict(zip(self.columns, row))) for n, row in enumerate(rows))
+
     def _series(self, name: str) -> np.ndarray:
-        values = [getattr(s, name) for s in self.steps]
-        if any(v is None for v in values):
+        if name not in self.columns:
             raise ValueError(f"{name} was not recorded for this trajectory")
-        return np.array(values, dtype=float)
+        return np.array(self.columns[name], dtype=float)
 
     def coherence_series(self) -> np.ndarray:
         return self._series("coherence_a")
@@ -192,32 +199,43 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
-def _system_reductions(rhos: np.ndarray) -> np.ndarray:
-    """Reduced system-qubit states of a (B, d, d) stack of register copies."""
+def _system_reductions(rhos):
+    """Reduced system-qubit states of a (B, d, d) stack; 2x2 states are their own."""
+    if len(rhos[0]) == 2:
+        return rhos
     half = rhos.shape[-1] // 2
     return np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
 
 
-def _record_step(n: int, rhos: np.ndarray) -> StepRecord:
-    """Metrics of a (B, d, d) stack of register copies after the n-th collision.
+# Each per-collision metric by StepRecord field, as a function of the copies'
+# system reductions and the copies. The trace distance compares copies 0 and 1.
+_METRICS = {
+    "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[0]),
+    "rho_a_diag": lambda rho_as, rhos: (float(rho_as[0][0, 0].real), float(rho_as[0][1, 1].real)),
+    "coherence_env": lambda rho_as, rhos: metrics.l1_coherence(
+        np.einsum("ijik->jk", rhos[0].reshape(2, 2, 2, 2))
+    ),
+    "negativity": lambda rho_as, rhos: metrics.negativity(rhos[0], (2, 2)),
+    "trace_distance": lambda rho_as, rhos: metrics.trace_distance(rho_as[0], rho_as[1]),
+}
 
-    Copy 0 supplies the single-register fields; with two copies, the trace
-    distance of their reduced system states is recorded as well.
+
+def _record(states, names, window=None):
+    """The named metric columns over ``(n, stack)`` pairs, and the last stack.
+
+    A stack is a (B, d, d) array of register copies or a pair of 2x2 states.
+    Only indices n in the half-open ``window`` (default: all) are evaluated,
+    but every pair is drawn, so the whole run is still stepped and checked.
     """
-    rho_as = _system_reductions(rhos)
-    rho_a = rho_as[0]
-    rec: dict = {
-        "n": n,
-        "coherence_a": metrics.l1_coherence(rho_a),
-        "rho_a_diag": (float(rho_a[0, 0].real), float(rho_a[1, 1].real)),
-    }
-    if rhos.shape[-1] == 4:
-        rho_env = np.einsum("ijik->jk", rhos[0].reshape(2, 2, 2, 2))
-        rec["coherence_env"] = metrics.l1_coherence(rho_env)
-        rec["negativity"] = metrics.negativity(rhos[0], (2, 2))
-    if len(rhos) == 2:
-        rec["trace_distance"] = metrics.trace_distance(rho_a, rho_as[1])
-    return StepRecord(**rec)
+    start, stop = window or (0, math.inf)
+    columns = {name: [] for name in names}
+    evaluate = [(_METRICS[name], columns[name].append) for name in names]
+    for n, stack in states:
+        if start <= n < stop:
+            rho_as = _system_reductions(stack)
+            for metric, append in evaluate:
+                append(metric(rho_as, stack))
+    return columns, stack
 
 
 def _evolve(rhos: np.ndarray, schedule: Schedule, p: float, check: bool = True):
@@ -270,11 +288,15 @@ def run_trajectory(
             f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
         )
     initial = [composite_initial(s, anc) for s in states]
-    records = []
-    for n, rhos in _evolve(np.stack([reg.rho for reg in initial]), schedule, p, check):
-        records.append(_record_step(n, rhos))
+    names = ["coherence_a", "rho_a_diag"]
+    if schedule.n_qubits == 2:
+        names += ["coherence_env", "negativity"]
+    if len(states) == 2:
+        names.append("trace_distance")
+    rhos = np.stack([reg.rho for reg in initial])
+    columns, rhos = _record(_evolve(rhos, schedule, p, check), names)
     return Trajectory(
-        steps=tuple(records),
+        columns=columns,
         p=float(p),
         weights=tuple((a.w_g, a.w_e) for a in anc),
         schedule=schedule,
@@ -315,27 +337,18 @@ def markovian_trajectory(
         raise ValueError("the memoryless run tracks a pair of system states")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    rho1 = pure_qubit_density(states[0])
-    rho2 = pure_qubit_density(states[1])
-    records = []
-    for n in range(n_steps + 1):
-        if n > 0:
-            rho1 = markovian_step(rho1, p, ancilla)
-            rho2 = markovian_step(rho2, p, ancilla)
-        records.append(
-            StepRecord(
-                n=n,
-                coherence_a=metrics.l1_coherence(rho1),
-                rho_a_diag=(float(rho1[0, 0].real), float(rho1[1, 1].real)),
-                trace_distance=metrics.trace_distance(rho1, rho2),
-            )
-        )
+    pairs = itertools.accumulate(
+        range(n_steps),
+        lambda pair, _: tuple(markovian_step(rho, p, ancilla) for rho in pair),
+        initial=tuple(pure_qubit_density(s) for s in states),
+    )
+    columns, final = _record(enumerate(pairs), ["coherence_a", "rho_a_diag", "trace_distance"])
     return Trajectory(
-        steps=tuple(records),
+        columns=columns,
         p=float(p),
         weights=((ancilla.w_g, ancilla.w_e),),
         schedule=None,
-        final_registers=(rho1, rho2),
+        final_registers=final,
     )
 
 
@@ -349,13 +362,9 @@ class OrbitDiagram:
     metric: str
 
 
-# Each orbit metric as a function of the (B, 4, 4) stack, computed as in
-# _record_step; the trace distance is taken between two copies.
-_ORBIT_METRICS = {
-    "coherence": lambda rhos: metrics.l1_coherence(_system_reductions(rhos)[0]),
-    "trace_distance": lambda rhos: metrics.trace_distance(*_system_reductions(rhos)),
-    "negativity": lambda rhos: metrics.negativity(rhos[0], (2, 2)),
-}
+# The StepRecord field that _record evaluates for each orbit metric.
+_ORBIT_FIELDS = {"coherence": "coherence_a", "trace_distance": "trace_distance",
+                 "negativity": "negativity"}
 
 
 def default_window(n_collisions: int) -> tuple[int, int]:
@@ -369,37 +378,37 @@ def orbit_sweep(
     window: tuple[int, int] | None = None,
     *,
     metric: str = "coherence",
-    system: PureQubit = SUPERPOSITION_PLUS,
-    partner: PureQubit = SUPERPOSITION_MINUS,
     ancilla: ThermalAncilla = DEFAULT_ANCILLA,
 ) -> OrbitDiagram:
     """Sweep the single-ancilla repeated-collision scenario over a p grid.
 
     For each p the chosen metric series is recorded over ``window`` (a
     half-open range of collision indices, by default the last 60). Only the
-    requested metric is computed, and only inside the window, with the same
-    reductions and ``metrics`` functions as ``run_trajectory``, so the values
-    equal its series; every collision, before the window too, is still
-    checked. Grid points are independent, so they may be computed in any
-    order; results are stored in grid order.
+    requested metric is computed, and only inside the window, by the recorder
+    of ``run_trajectory``, so the values equal its series from
+    SUPERPOSITION_PLUS (and SUPERPOSITION_MINUS for the trace distance);
+    every collision, before the window too, is still checked. Grid points are
+    independent, so they may be computed in any order; results are stored in
+    grid order.
     """
     grid = tuple(float(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
-    if metric not in _ORBIT_METRICS:
+    if metric not in _ORBIT_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
-    value = _ORBIT_METRICS[metric]
+    field = _ORBIT_FIELDS[metric]
     if window is None:
         window = default_window(n_collisions)
     start, stop = window
     if not 0 <= start < stop <= n_collisions + 1:
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
     schedule = repeated_schedule(2, (0, 1), n_collisions)
-    states = (system, partner) if metric == "trace_distance" else (system,)
+    states = (SUPERPOSITION_PLUS,)
+    if metric == "trace_distance":
+        states += (SUPERPOSITION_MINUS,)
     values = []
     for p in grid:
         initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
-        values.append(tuple(
-            value(rhos) for n, rhos in _evolve(initial, schedule, p) if start <= n < stop
-        ))
+        columns, _ = _record(_evolve(initial, schedule, p), [field], (start, stop))
+        values.append(tuple(columns[field]))
     return OrbitDiagram(p_grid=grid, values=tuple(values), window=(start, stop), metric=metric)

@@ -52,7 +52,7 @@ class ThermalAncilla:
         if self.w_e > self.w_g:
             warnings.warn(
                 "ancilla has inverted populations (w_e > w_g), i.e. negative temperature",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -119,16 +119,12 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> Co
     bit_j = 1 << (n_qubits - 1 - j)
     stay = math.sqrt(1.0 - p)
     hop = math.sqrt(p)
+    m = np.arange(dim)
+    exc_i, exc_j = (m & bit_i) != 0, (m & bit_j) != 0
+    singles = m[exc_i != exc_j]  # basis states with one excitation in the pair
     u = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        exc_i = bool(m & bit_i)
-        exc_j = bool(m & bit_j)
-        if exc_i == exc_j:
-            u[m, m] = 1.0
-            continue
-        u[m, m] = stay
-        swapped = m ^ bit_i ^ bit_j
-        u[swapped, m] = -hop if exc_j else hop
+    u[m, m] = np.where(exc_i != exc_j, stay, 1.0)
+    u[singles ^ bit_i ^ bit_j, singles] = np.where(exc_j[singles], -hop, hop)
     return CollisionUnitary(matrix=u, pair=(i, j), p=float(p), n_qubits=n_qubits)
 
 

@@ -374,3 +374,19 @@ class TestGridPointCap:
         assert len(cli.parse_grid(f"0:{cap - 1}:1")) == cap
         with pytest.raises(cli.ConfigError, match="more than"):
             cli.parse_grid(f"0:{cap}:1")
+
+
+class TestCollisionCap:
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--p", "0.5", "--collisions", "1000000000000000"],
+        ["trajectory", "--p", "0.5", "--ancillas", "3", "--collisions", "1000001"],
+        ["orbit", "--p", "0.5", "--collisions", "1000001"],
+        ["markovian", "--p", "0.5", "--collisions", "1000000000000000"],
+    ])
+    def test_over_the_cap_exits_two(self, tmp_path, capsys, argv):
+        code, path = run(argv, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--collisions must be" in err
+        assert "Traceback" not in err
+        assert not path.exists()

@@ -42,7 +42,7 @@ INVALID = _fragments({
                  "a:b:c", "0:1", "0:1e300:1e-300", "0:1:1e-12"],
     "--wg": ["-0.1", "1.5", "nan", "x"],
     "--ancillas": ["-1", "0", "4", "x"],
-    "--collisions": ["-1", "0", "x"],
+    "--collisions": ["-1", "0", "x", "1000000000000000"],
     "--seed": ["-3", "x"],
     "--window": ["5:2", "3:3", "-1:2", "a:b", "1:2:3", "0:50"],
     "--backflow-tol": ["-1", "nan", "inf", "-inf", "x"],

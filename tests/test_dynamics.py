@@ -333,3 +333,33 @@ class TestOrbitSweep:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):
             dynamics.orbit_sweep([0.5], metric="purity")
+
+
+def assert_columns(traj, fields, n_rows):
+    """``columns`` holds exactly ``fields``, and ``steps`` rebuilds them row by row."""
+    assert set(traj.columns) == fields
+    assert all(len(column) == n_rows for column in traj.columns.values())
+    steps = traj.steps
+    assert [s.n for s in steps] == list(range(n_rows))
+    for s in steps:
+        for name in ("coherence_a", "rho_a_diag", "coherence_env", "negativity", "trace_distance"):
+            assert getattr(s, name) == (traj.columns[name][s.n] if name in fields else None)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n_anc,fields", [
+        (1, {"coherence_a", "rho_a_diag", "coherence_env", "negativity", "trace_distance"}),
+        (2, {"coherence_a", "rho_a_diag", "trace_distance"}),
+        (3, {"coherence_a", "rho_a_diag", "trace_distance"}),
+    ])
+    def test_collision_run_records_its_fields(self, n_anc, fields):
+        if n_anc == 1:
+            sched = dynamics.repeated_schedule(2, (0, 1), 12)
+        else:
+            sched = dynamics.random_schedule(1 + n_anc, 12, seed=5)
+        traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, 0.6, sched)
+        assert_columns(traj, fields, 13)
+
+    def test_markovian_run_records_its_fields(self):
+        traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.3, ANC, 12)
+        assert_columns(traj, {"coherence_a", "rho_a_diag", "trace_distance"}, 13)

@@ -71,6 +71,11 @@ class TestThermalAncilla:
         with pytest.warns(UserWarning, match="inverted"):
             model.ThermalAncilla(0.3, 0.7)
 
+    def test_inversion_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="inverted") as caught:
+            model.ThermalAncilla(0.3, 0.7)
+        assert caught[0].filename == __file__
+
 
 class TestThermalFromBeta:
     def test_ln4_gives_four_to_one(self):
