@@ -12,7 +12,6 @@ from .dynamics import (
     InvariantViolationError,
     OrbitDiagram,
     Schedule,
-    StepRecord,
     Trajectory,
     check_register,
     collide,
@@ -54,7 +53,6 @@ __all__ = [
     "Register",
     "Schedule",
     "SeriesVerdict",
-    "StepRecord",
     "ThermalAncilla",
     "Trajectory",
     "backflow_events",

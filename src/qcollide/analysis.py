@@ -10,6 +10,8 @@ import numpy as np
 PERIOD_TOL = 1e-8
 MAX_PERIOD = 32
 MIN_REPEATS = 3
+# The trailing collision indices that stand for a series' long-term
+# behaviour; dynamics.orbit_sweep records the same tail by default.
 VERDICT_WINDOW = 60
 
 CLUSTER_TOL = 1e-6

@@ -17,7 +17,6 @@ from .dynamics import (
     SUPERPOSITION_MINUS,
     SUPERPOSITION_PLUS,
     InvariantViolationError,
-    default_window,
     markovian_trajectory,
     orbit_sweep,
     random_schedule,
@@ -180,7 +179,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         raise ConfigError(f"--ancillas must be 1..3, got {args.ancillas}")
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
-    window = _window_or_none(args)
+    start, stop = _window_or_none(args) or (0, None)
     n_qubits = 1 + args.ancillas
     if args.ancillas == 1:
         if args.seed is not None or args.restrict_system_ancilla:
@@ -213,22 +212,18 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         "backflow_tol": tol,
     }
     if scenario == "single":
-        columns = ["n", "coherence_A", "coherence_env", "negativity", "trace_distance"]
         fields = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
     else:
         header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
-        columns = ["n", "coherence_A", "trace_distance"]
         fields = ["coherence_a", "trace_distance"]
     rows = [[n, *row] for n, row in enumerate(zip(*(traj.columns[f] for f in fields)))]
-    if window is not None:
-        rows = [r for r in rows if window[0] <= r[0] < window[1]]
     report = backflow_events(traj.trace_distance_series(), tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
         f"(backflow_tol = {_fmt(tol)})"
     ]
-    return header, columns, rows, footer
+    return header, ["n", "coherence_A", *fields[1:]], rows[start:stop], footer
 
 
 def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
@@ -237,14 +232,13 @@ def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
         raise ConfigError("orbit needs --p-grid or a single --p")
     if args.ancillas != 1:
         raise ConfigError(f"orbit has one ancilla; --ancillas must be 1, got {args.ancillas}")
-    window = _window_or_none(args) or default_window(args.collisions)
-    diagram = orbit_sweep(grid, args.collisions, window, ancilla=_ancilla(args))
+    diagram = orbit_sweep(grid, args.collisions, _window_or_none(args), ancilla=_ancilla(args))
     header = {
         "command": "orbit",
         "scenario": "orbit",
         "w_g": args.wg,
         "n_collisions": args.collisions,
-        "window": f"{window[0]}:{window[1]}",
+        "window": f"{diagram.window[0]}:{diagram.window[1]}",
         "format": args.format,
     }
     if args.p_grid is not None:
@@ -262,17 +256,15 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
     ps = sorted(ps)
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
-    window = _window_or_none(args)
+    start, stop = _window_or_none(args) or (0, None)
     rows = []
     footer = []
     for p in ps:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
-        values = zip(traj.columns["trace_distance"], traj.columns["coherence_a"])
-        for n, (distance, coherence) in enumerate(values):
-            if window is None or window[0] <= n < window[1]:
-                rows.append([n, p, distance, coherence])
+        values = enumerate(zip(traj.columns["trace_distance"], traj.columns["coherence_a"]))
+        rows += [[n, p, distance, coherence] for n, (distance, coherence) in values][start:stop]
         report = backflow_events(traj.trace_distance_series(), tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, qmat
+from .analysis import VERDICT_WINDOW
 from .model import (
     PureQubit,
     Register,
@@ -30,8 +31,6 @@ SUPERPOSITION_PLUS = PureQubit(2 ** -0.5, 2 ** -0.5)
 SUPERPOSITION_MINUS = PureQubit(2 ** -0.5, -(2 ** -0.5))
 
 DEFAULT_ANCILLA = ThermalAncilla(0.8, 0.2)
-
-ORBIT_WINDOW_LEN = 60
 
 
 class InvariantViolationError(RuntimeError):
@@ -138,23 +137,11 @@ def collide(reg: Register, pair: tuple[int, int], p: float) -> Register:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Metrics of the register after the n-th collision (n=0 is the initial state)."""
-
-    n: int
-    coherence_a: float
-    rho_a_diag: tuple[float, float]
-    coherence_env: float | None = None
-    negativity: float | None = None
-    trace_distance: float | None = None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Per-collision metric columns plus the configuration that produced them.
 
-    ``columns`` maps each recorded StepRecord field to its value after each
-    collision n = 0, 1, ...
+    ``columns`` maps each recorded metric name to its value after each
+    collision n = 0, 1, ... (n = 0 is the initial state).
     ``final_registers`` holds the evolved state of each tracked copy:
     Register objects for collision runs, bare 2x2 arrays for fresh-ancilla
     runs.
@@ -165,12 +152,6 @@ class Trajectory:
     weights: tuple[tuple[float, float], ...]
     schedule: Schedule | None
     final_registers: tuple
-
-    @property
-    def steps(self) -> tuple[StepRecord, ...]:
-        """One StepRecord per collision index, rebuilt from ``columns``."""
-        rows = zip(*self.columns.values())
-        return tuple(StepRecord(n, **dict(zip(self.columns, row))) for n, row in enumerate(rows))
 
     def _series(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -207,7 +188,7 @@ def _system_reductions(rhos):
     return np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
 
 
-# Each per-collision metric by StepRecord field, as a function of the copies'
+# Each per-collision metric by column name, as a function of the copies'
 # system reductions and the copies. The trace distance compares copies 0 and 1.
 _METRICS = {
     "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[0]),
@@ -238,13 +219,13 @@ def _record(states, names, window=None):
     return columns, stack
 
 
-def _evolve(rhos: np.ndarray, schedule: Schedule, p: float, check: bool = True):
+def _evolve(rhos: np.ndarray, schedule: Schedule, p: float):
     """Step a (B, d, d) stack of register copies through ``schedule``.
 
     Yields ``(0, rhos)`` first and then ``(n, rhos)`` after the n-th
-    collision. Each pair's unitary is built once per call. With ``check``
-    every copy is checked after every collision, and a violation names the
-    step, the pair, p and the copy.
+    collision. Each pair's unitary is built once per call. Every copy is
+    checked after every collision, and a violation names the step, the pair,
+    p and the copy.
     """
     yield 0, rhos
     unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -254,32 +235,24 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, p: float, check: bool = True):
             unitaries[i, j] = (u, u.conj().T)
         u, uh = unitaries[i, j]
         rhos = u @ rhos @ uh
-        if check:
-            violation = _first_violation(rhos)
-            if violation is not None:
-                copy, reason = violation
-                raise InvariantViolationError(
-                    f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
-                )
+        violation = _first_violation(rhos)
+        if violation is not None:
+            copy, reason = violation
+            raise InvariantViolationError(
+                f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
+            )
         yield n, rhos
 
 
-def run_trajectory(
-    systems,
-    ancillas,
-    p: float,
-    schedule: Schedule,
-    *,
-    check: bool = True,
-) -> Trajectory:
+def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:
     """Evolve one register (or a pair sharing the schedule) and record metrics.
 
     ``systems`` is a single pure system state or a pair of them; with a pair,
     both registers see the identical collision sequence and the trace
     distance of the reduced system states is recorded at every step. The
     copies evolve as one (B, d, d) stack, each pair's unitary is built once
-    per call, and with ``check`` every copy is checked after every collision;
-    a violation names the step, the pair, p and the copy.
+    per call, and every copy is checked after every collision; a violation
+    names the step, the pair, p and the copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
@@ -294,7 +267,7 @@ def run_trajectory(
     if len(states) == 2:
         names.append("trace_distance")
     rhos = np.stack([reg.rho for reg in initial])
-    columns, rhos = _record(_evolve(rhos, schedule, p, check), names)
+    columns, rhos = _record(_evolve(rhos, schedule, p), names)
     return Trajectory(
         columns=columns,
         p=float(p),
@@ -362,14 +335,9 @@ class OrbitDiagram:
     metric: str
 
 
-# The StepRecord field that _record evaluates for each orbit metric.
+# The column that _record evaluates for each orbit metric.
 _ORBIT_FIELDS = {"coherence": "coherence_a", "trace_distance": "trace_distance",
                  "negativity": "negativity"}
-
-
-def default_window(n_collisions: int) -> tuple[int, int]:
-    """Half-open collision-index range covering the last 60 collisions."""
-    return (max(0, n_collisions + 1 - ORBIT_WINDOW_LEN), n_collisions + 1)
 
 
 def orbit_sweep(
@@ -383,9 +351,10 @@ def orbit_sweep(
     """Sweep the single-ancilla repeated-collision scenario over a p grid.
 
     For each p the chosen metric series is recorded over ``window`` (a
-    half-open range of collision indices, by default the last 60). Only the
-    requested metric is computed, and only inside the window, by the recorder
-    of ``run_trajectory``, so the values equal its series from
+    half-open range of collision indices, by default the last 60, the tail
+    that ``detect_period`` classifies). Only the requested metric is
+    computed, and only inside the window, by the recorder of
+    ``run_trajectory``, so the values equal its series from
     SUPERPOSITION_PLUS (and SUPERPOSITION_MINUS for the trace distance);
     every collision, before the window too, is still checked. Grid points are
     independent, so they may be computed in any order; results are stored in
@@ -398,7 +367,7 @@ def orbit_sweep(
         raise ValueError(f"unknown metric {metric!r}")
     field = _ORBIT_FIELDS[metric]
     if window is None:
-        window = default_window(n_collisions)
+        window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window
     if not 0 <= start < stop <= n_collisions + 1:
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")

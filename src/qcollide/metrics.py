@@ -62,7 +62,7 @@ def backflow_events(series: Sequence[float], tol: float = BACKFLOW_TOL) -> Backf
     values = [float(x) for x in series]
     if len(values) < 2:
         raise ValueError("series must contain at least two values")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
     events = tuple(
         (n, values[n + 1] - values[n])

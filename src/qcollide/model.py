@@ -33,7 +33,7 @@ class PureQubit:
 
     def __post_init__(self) -> None:
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"pure state is not normalized: |a|^2+|b|^2 = {norm!r}")
 
 

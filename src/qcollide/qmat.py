@@ -63,8 +63,8 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
 
 
 def partial_transpose(rho: np.ndarray, dims: Sequence[int], subsystem: int = 0) -> np.ndarray:
-    """Transpose one factor of a bipartite matrix, leaving the other intact."""
-    a = _require_hermitian(rho, "rho")
+    """Transpose one factor of a bipartite square matrix, leaving the other intact."""
+    a = _as_square(rho, "rho")
     da, db = dims
     if da * db != a.shape[0]:
         raise ValueError(f"dims {tuple(dims)} do not match matrix dim {a.shape[0]}")
@@ -93,6 +93,6 @@ def trace_norm_hermitian(h: np.ndarray) -> float:
 
 def is_positive_semidefinite(h: np.ndarray, tol: float = 0.0) -> bool:
     """True when Hermitian ``h`` has no eigenvalue below -tol (LAPACK, via ``numpy.linalg``)."""
-    # Not routed through hermitian_eigenvalues, so that invariant checks and
-    # metric eigen-solves stay separate layers in a traced benchmark run.
+    # Not routed through hermitian_eigenvalues, so that a traced benchmark run
+    # counts these solves in their own layer, apart from the metric eigen-solves.
     return bool(np.linalg.eigvalsh(_require_hermitian(h, "h"))[0] >= -tol)

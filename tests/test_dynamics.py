@@ -117,9 +117,8 @@ class TestRunTrajectory:
     def test_step_count_and_initial_record(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 10)
         traj = dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
-        assert len(traj.steps) == 11
-        assert traj.steps[0].n == 0
-        assert traj.steps[0].coherence_a == pytest.approx(1.0, abs=1e-12)
+        assert all(len(column) == 11 for column in traj.columns.values())
+        assert traj.columns["coherence_a"][0] == pytest.approx(1.0, abs=1e-12)
         assert traj.weights == ((0.8, 0.2),)
 
     def test_schedule_mismatch(self):
@@ -197,8 +196,8 @@ class TestRunTrajectory:
         for reg in traj.final_registers:
             assert np.trace(reg.rho).real == pytest.approx(1.0, abs=1e-10)
             assert qmat.hermitian_eigenvalues(reg.rho)[0] > -1e-9
-        for step in traj.steps:
-            assert step.rho_a_diag[0] + step.rho_a_diag[1] == pytest.approx(1.0, abs=1e-10)
+        for ground, excited in traj.columns["rho_a_diag"]:
+            assert ground + excited == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMarkovian:
@@ -336,14 +335,9 @@ class TestOrbitSweep:
 
 
 def assert_columns(traj, fields, n_rows):
-    """``columns`` holds exactly ``fields``, and ``steps`` rebuilds them row by row."""
+    """``columns`` holds exactly ``fields``, each with one value per collision index."""
     assert set(traj.columns) == fields
     assert all(len(column) == n_rows for column in traj.columns.values())
-    steps = traj.steps
-    assert [s.n for s in steps] == list(range(n_rows))
-    for s in steps:
-        for name in ("coherence_a", "rho_a_diag", "coherence_env", "negativity", "trace_distance"):
-            assert getattr(s, name) == (traj.columns[name][s.n] if name in fields else None)
 
 
 class TestColumns:

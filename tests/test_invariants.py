@@ -75,11 +75,13 @@ class TestEveryCopyEveryStep:
         )
 
     def test_unchecked_run_lets_the_drift_through(self, monkeypatch):
-        sched = dynamics.Schedule(3, ((0, 2),))
+        # The control for the test above: collide applies the same corrupted
+        # unitary with no check, so the drift the run catches is really there.
         corrupt_pair(monkeypatch, (0, 2), np.eye(8) + 1e-6 * system_projector(KET_MINUS, 3))
-        traj = dynamics.run_trajectory(PAIR, [ANC, ANC], 0.5, sched, check=False)
-        assert np.trace(traj.final_registers[0].rho).real == pytest.approx(1.0, abs=1e-14)
-        assert np.trace(traj.final_registers[1].rho).real > 1.0 + 1e-6
+        plus, minus = (dynamics.collide(model.composite_initial(s, [ANC, ANC]), (0, 2), 0.5)
+                       for s in PAIR)
+        assert np.trace(plus.rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(minus.rho).real > 1.0 + 1e-6
 
 
 def with_negative_eigenvalue(lam, n_qubits=2):

@@ -94,6 +94,12 @@ class TestNegativity:
         with pytest.raises(ValueError, match="dims"):
             metrics.negativity(np.eye(4) / 4, (2, 3))
 
+    def test_rejects_non_hermitian(self):
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho[0, 3] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            metrics.negativity(rho, (2, 2))
+
 
 class TestTraceDistance:
     def test_orthogonal_preparations(self):
@@ -190,3 +196,8 @@ class TestBackflowEvents:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError, match="non-negative"):
             metrics.backflow_events([1.0, 0.5], tol=-1.0)
+
+    def test_rejects_nan_tolerance(self):
+        # With tol = NaN no rise would count, which reads as the memoryless verdict.
+        with pytest.raises(ValueError, match="non-negative"):
+            metrics.backflow_events([0.0, 1.0, 0.0, 1.0], tol=float("nan"))

@@ -23,6 +23,11 @@ class TestPureQubit:
         with pytest.raises(ValueError, match="normalized"):
             model.PureQubit(1.0, 1.0)
 
+    def test_rejects_nan_amplitude(self):
+        # A NaN norm fails every comparison, so the check must not pass it by default.
+        with pytest.raises(ValueError, match="normalized"):
+            model.PureQubit(float("nan"), 0.0)
+
     def test_ground_state_density(self):
         rho = model.pure_qubit_density(model.PureQubit(1.0, 0.0))
         np.testing.assert_array_equal(rho, np.diag([1.0, 0.0]))

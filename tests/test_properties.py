@@ -1,4 +1,4 @@
-"""Hypothesis properties of the collision unitary and the fresh-ancilla map."""
+"""Hypothesis properties of the collision unitary, the fresh-ancilla map and the partial trace."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide import dynamics, metrics, model
+from qcollide import dynamics, metrics, model, qmat
 
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -49,3 +49,37 @@ def test_fresh_ancilla_map_never_raises_the_trace_distance(rho, sigma, p, w_g):
         dynamics.markovian_step(rho, p, ancilla), dynamics.markovian_step(sigma, p, ancilla)
     )
     assert after <= before + 1e-12
+
+
+@PROPERTY
+@given(rho=qubit_states, p=st.floats(0.0, 1.0), w_g=st.floats(0.0, 1.0))
+def test_fresh_ancilla_map_is_the_reduced_collision(rho, p, w_g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
+        ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+    u = model.pair_collision_unitary(2, (0, 1), p).matrix
+    joint = u @ np.kron(rho, model.thermal_density(ancilla)) @ u.conj().T
+    np.testing.assert_allclose(
+        dynamics.markovian_step(rho, p, ancilla),
+        qmat.partial_trace(joint, [2, 2], keep=0),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_partial_trace_one_subsystem_at_a_time(data, n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    order = data.draw(st.permutations([k for k in range(n) if k not in keep]))
+    remaining, stepwise = list(range(n)), rho
+    for k in order:
+        position = remaining.index(k)
+        others = [i for i in range(len(remaining)) if i != position]
+        stepwise = qmat.partial_trace(stepwise, [2] * len(remaining), keep=others)
+        remaining.remove(k)
+    np.testing.assert_allclose(
+        stepwise, qmat.partial_trace(rho, [2] * n, keep=keep), rtol=0.0, atol=1e-14
+    )

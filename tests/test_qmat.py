@@ -156,6 +156,12 @@ class TestPartialTranspose:
         with pytest.raises(ValueError, match="dims"):
             qmat.partial_transpose(np.eye(4), [2, 3])
 
+    def test_defined_for_non_hermitian_matrices(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[0.0, 1j], [5.0, 0.0]])
+        np.testing.assert_array_equal(qmat.partial_transpose(np.kron(a, b), [2, 2]),
+                                      np.kron(a.T, b))
+
 
 class TestHermitianEigenvalues:
     def test_diagonal(self):

@@ -16,11 +16,11 @@ def per_copy_run(states, ancillas, p, schedule):
     """One Register per copy, one collide and one check_register per copy and step."""
     registers = [model.composite_initial(s, ancillas) for s in states]
     dims = [2] * registers[0].n_qubits
+    columns = {}
 
-    def record(n):
+    def record():
         rho_a = qmat.partial_trace(registers[0].rho, dims, keep=0)
         rec = {
-            "n": n,
             "coherence_a": metrics.l1_coherence(rho_a),
             "rho_a_diag": (rho_a[0, 0].real, rho_a[1, 1].real),
         }
@@ -31,21 +31,20 @@ def per_copy_run(states, ancillas, p, schedule):
         if len(registers) == 2:
             other = qmat.partial_trace(registers[1].rho, dims, keep=0)
             rec["trace_distance"] = metrics.trace_distance(rho_a, other)
-        return dynamics.StepRecord(**rec)
+        for name, value in rec.items():
+            columns.setdefault(name, []).append(value)
 
-    records = [record(0)]
-    for n, pair in enumerate(schedule.events, start=1):
+    record()
+    for pair in schedule.events:
         registers = [dynamics.collide(r, pair, p) for r in registers]
         for r in registers:
             dynamics.check_register(r)
-        records.append(record(n))
-    return records, registers
+        record()
+    return columns, registers
 
 
 def assert_close(got, want):
-    if want is None:
-        assert got is None
-    elif isinstance(want, tuple):
+    if isinstance(want, tuple):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_close(g, w)
@@ -87,13 +86,13 @@ def test_stacked_run_matches_per_copy_collide(
             1 + n_ancillas, n_collisions, seed, system_ancilla_only=system_ancilla_only
         )
     traj = dynamics.run_trajectory(states, ancillas, p, schedule)
-    want_steps, want_registers = per_copy_run(states, ancillas, p, schedule)
+    want_columns, want_registers = per_copy_run(states, ancillas, p, schedule)
 
-    assert len(traj.steps) == len(want_steps)
-    for got, want in zip(traj.steps, want_steps):
-        assert got.n == want.n
-        for field in ("coherence_a", "rho_a_diag", "coherence_env", "negativity", "trace_distance"):
-            assert_close(getattr(got, field), getattr(want, field))
+    assert set(traj.columns) == set(want_columns)
+    for field, want in want_columns.items():
+        assert len(traj.columns[field]) == len(want) == len(schedule) + 1
+        for got_value, want_value in zip(traj.columns[field], want):
+            assert_close(got_value, want_value)
     assert len(traj.final_registers) == len(want_registers)
     for got, want in zip(traj.final_registers, want_registers):
         assert (got.n_qubits, got.labels) == (want.n_qubits, want.labels)
