@@ -39,6 +39,8 @@ def detect_period(series: Sequence[float], window: int = VERDICT_WINDOW) -> Seri
     aperiodic. Values are counted as distinct under CLUSTER_TOL. Verdicts are
     relative to the analyzed window by construction.
     """
+    if not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     x = np.asarray(series, dtype=float)
     if len(x) < MAX_PERIOD * MIN_REPEATS:
         raise ValueError(
@@ -60,6 +62,8 @@ def cluster_values(series: Sequence[float], cluster_tol: float = CLUSTER_TOL) ->
     Two values join the same cluster when connected by a chain of gaps of at
     most ``cluster_tol``; permutation of the series does not matter.
     """
+    if not cluster_tol >= 0:
+        raise ValueError(f"cluster tolerance must be non-negative, got {cluster_tol}")
     x = np.sort(np.asarray(series, dtype=float))
     if len(x) == 0:
         raise ValueError("series is empty")

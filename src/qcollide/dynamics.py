@@ -24,6 +24,12 @@ from .model import (
 # Runtime drift bounds for states along a trajectory.
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = 1e-9
+# State entries (steps x copies x d x d) that one invariant check covers: about
+# 128 KB of complex values, so 512 steps of one 4x4 copy or 16 steps of two
+# 16x16 copies. Counted in entries rather than steps because the check's
+# temporaries scale with the chunk: checking a 100-collision run of two
+# 16x16 copies in one chunk peaks 2.4 MB higher than with this size.
+CHECK_CHUNK_ENTRIES = 2 ** 13
 
 # Orthogonal equal-weight superpositions, the standard preparation pair for
 # distinguishability runs; the first is also the maximally coherent state.
@@ -34,7 +40,18 @@ DEFAULT_ANCILLA = ThermalAncilla(0.8, 0.2)
 
 
 class InvariantViolationError(RuntimeError):
-    """A register drifted past its trace, Hermiticity or positivity bound."""
+    """A register drifted past its trace, Hermiticity or positivity bound.
+
+    A violation along a run carries the collision ``step``, the qubit
+    ``pair``, the interaction probability ``p`` and the register ``copy``;
+    all four are None for a single register checked by ``check_register``.
+    """
+
+    def __init__(self, message: str, *, step: int | None = None,
+                 pair: tuple[int, int] | None = None, p: float | None = None,
+                 copy: int | None = None) -> None:
+        super().__init__(message)
+        self.step, self.pair, self.p, self.copy = step, pair, p, copy
 
 
 @dataclass(frozen=True)
@@ -223,25 +240,39 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, p: float):
     """Step a (B, d, d) stack of register copies through ``schedule``.
 
     Yields ``(0, rhos)`` first and then ``(n, rhos)`` after the n-th
-    collision. Each pair's unitary is built once per call. Every copy is
-    checked after every collision, and a violation names the step, the pair,
-    p and the copy.
+    collision. Each pair's unitary is built once per call. The steps run in
+    chunks of about CHECK_CHUNK_ENTRIES state entries, and each chunk's
+    states are checked by one stacked ``_first_violation`` call, which covers
+    every copy after every collision, before any of them is yielded. Only a
+    failed chunk is searched step by step, so a violation names the first
+    failing step, the pair, p and the lowest failing copy at that step.
     """
     yield 0, rhos
     unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for n, (i, j) in enumerate(schedule.events, start=1):
-        if (i, j) not in unitaries:
-            u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
-            unitaries[i, j] = (u, u.conj().T)
-        u, uh = unitaries[i, j]
-        rhos = u @ rhos @ uh
-        violation = _first_violation(rhos)
-        if violation is not None:
-            copy, reason = violation
-            raise InvariantViolationError(
-                f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}"
-            )
-        yield n, rhos
+    events = schedule.events
+    chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
+    for first in range(0, len(events), chunk):
+        block = events[first:first + chunk]
+        states = np.empty((len(block),) + rhos.shape, dtype=complex)
+        # Steps past a violation in the same chunk are still computed and may
+        # overflow; the check reports the violation, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (i, j) in enumerate(block):
+                if (i, j) not in unitaries:
+                    u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
+                    unitaries[i, j] = (u, u.conj().T)
+                u, uh = unitaries[i, j]
+                rhos = states[k] = u @ rhos @ uh
+            if _first_violation(states.reshape(-1, *rhos.shape[1:])) is not None:
+                for n, ((i, j), stack) in enumerate(zip(block, states), start=first + 1):
+                    violation = _first_violation(stack)
+                    if violation is not None:
+                        copy, reason = violation
+                        raise InvariantViolationError(
+                            f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}",
+                            step=n, pair=(i, j), p=float(p), copy=copy,
+                        )
+        yield from enumerate(states, start=first + 1)
 
 
 def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:
@@ -250,9 +281,11 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
     ``systems`` is a single pure system state or a pair of them; with a pair,
     both registers see the identical collision sequence and the trace
     distance of the reduced system states is recorded at every step. The
-    copies evolve as one (B, d, d) stack, each pair's unitary is built once
-    per call, and every copy is checked after every collision; a violation
-    names the step, the pair, p and the copy.
+    copies evolve as one (B, d, d) stack, and each pair's unitary is built
+    once per call. Every copy is checked after every collision, one chunk of
+    collisions per stacked check, before any metric of those collisions is
+    computed; a violation names the first failing step, the pair, p and the
+    copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
@@ -355,10 +388,11 @@ def orbit_sweep(
     that ``detect_period`` classifies). Only the requested metric is
     computed, and only inside the window, by the recorder of
     ``run_trajectory``, so the values equal its series from
-    SUPERPOSITION_PLUS (and SUPERPOSITION_MINUS for the trace distance);
-    every collision, before the window too, is still checked. Grid points are
-    independent, so they may be computed in any order; results are stored in
-    grid order.
+    SUPERPOSITION_PLUS (and SUPERPOSITION_MINUS for the trace distance).
+    Every collision, before the window too, is still checked, one chunk of
+    collisions per stacked check and before any metric of the chunk is
+    computed. Grid points are independent, so they may be computed in any
+    order; results are stored in grid order.
     """
     grid = tuple(float(p) for p in p_grid)
     if not grid:

@@ -93,3 +93,29 @@ class TestClusterValues:
     def test_sorted_ascending(self):
         values = analysis.cluster_values([0.9, 0.1, 0.5], 1e-6)
         assert values == sorted(values)
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_detect_period_rejects_a_non_positive_window(self, window):
+        # x[-0:] is the whole series and x[-5:] drops its head, so neither
+        # value may pass silently as a tail length.
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            analysis.detect_period([1.0, 0.5] * 50, window=window)
+
+    def test_detect_period_accepts_a_window_of_60_and_reads_only_the_tail(self):
+        # A chaotic head followed by a clean two-cycle of 60 points.
+        head = list(np.random.default_rng(0).random(40))
+        verdict = analysis.detect_period(head + [1.0, 0.5] * 30, window=60)
+        assert verdict.label == "periodic(2)"
+        assert verdict.n_distinct == 2
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    @pytest.mark.parametrize("func", [analysis.cluster_values, analysis.distinct_values])
+    def test_cluster_tolerance_must_be_non_negative(self, func, tol):
+        # NaN would merge every value and a negative tolerance split equal ones.
+        with pytest.raises(ValueError, match="cluster tolerance must be non-negative"):
+            func([0.0, 0.0, 0.5, 1.0], cluster_tol=tol)
+
+    def test_zero_cluster_tolerance_counts_exact_values(self):
+        assert analysis.distinct_values([0.0, 0.0, 0.5, 1.0], cluster_tol=0.0) == 3
