@@ -35,7 +35,6 @@ from .model import (
     thermal_from_beta,
 )
 from .qmat import (
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     is_positive_semidefinite,
     kron,
@@ -62,7 +61,6 @@ __all__ = [
     "composite_initial",
     "detect_period",
     "distinct_values",
-    "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "is_positive_semidefinite",
     "kron",

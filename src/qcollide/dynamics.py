@@ -114,13 +114,13 @@ def _factorises(a: np.ndarray) -> bool:
 
 
 def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
-    """Index of the first copy in a (B, d, d) stack that broke an invariant, and why.
+    """Index of the first matrix in an (N, d, d) stack that broke an invariant, and why.
 
     Trace and Hermiticity are tested on the whole stack at once. Positivity is
     one batched Cholesky factorisation of rho + POSITIVITY_FLOOR * I, which
     succeeds exactly when no eigenvalue lies below -POSITIVITY_FLOOR (to about
     1e-15, by Cholesky's backward stability). The comparisons count NaN as
-    drift. Copies are examined one by one, and an eigenvalue is computed,
+    drift. Matrices are examined one by one, and an eigenvalue is computed,
     only to report a failure.
     """
     shifted = rhos + POSITIVITY_FLOOR * np.eye(rhos.shape[-1])
@@ -198,80 +198,80 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
 
 
 def _system_reductions(rhos):
-    """Reduced system-qubit states of a (B, d, d) stack; 2x2 states are their own."""
-    if len(rhos[0]) == 2:
+    """Reduced system-qubit states of a (P, B, d, d) stack; 2x2 states are their own."""
+    if rhos.shape[-1] == 2:
         return rhos
     half = rhos.shape[-1] // 2
-    return np.einsum("bijkj->bik", rhos.reshape(len(rhos), 2, half, 2, half))
+    return np.einsum("...ijkj->...ik", rhos.reshape(rhos.shape[:-2] + (2, half, 2, half)))
 
 
-# Each per-collision metric by column name, as a function of the copies'
-# system reductions and the copies. The trace distance compares copies 0 and 1.
+# Each per-collision metric by column name, as a function of the copies' system reductions
+# and the copies: the list of its values at each grid point. Trace distance: copies 0 and 1.
 _METRICS = {
-    "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[0]),
-    "rho_a_diag": lambda rho_as, rhos: (float(rho_as[0][0, 0].real), float(rho_as[0][1, 1].real)),
+    "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[:, 0]).tolist(),
+    "rho_a_diag": lambda rho_as, rhos: map(tuple, rho_as[:, 0].diagonal(0, -2, -1).real.tolist()),
     "coherence_env": lambda rho_as, rhos: metrics.l1_coherence(
-        np.einsum("ijik->jk", rhos[0].reshape(2, 2, 2, 2))
-    ),
-    "negativity": lambda rho_as, rhos: metrics.negativity(rhos[0], (2, 2)),
-    "trace_distance": lambda rho_as, rhos: metrics.trace_distance(rho_as[0], rho_as[1]),
+        np.einsum("pijik->pjk", rhos[:, 0].reshape(-1, 2, 2, 2, 2))).tolist(),
+    "negativity": lambda rho_as, rhos: metrics.negativity(rhos[:, 0], (2, 2)).tolist(),
+    "trace_distance": lambda rho_as, rhos: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
 }
 
 
 def _record(states, names, window=None):
     """The named metric columns over ``(n, stack)`` pairs, and the last stack.
 
-    A stack is a (B, d, d) array of register copies or a pair of 2x2 states.
-    Only indices n in the half-open ``window`` (default: all) are evaluated,
-    but every pair is drawn, so the whole run is still stepped and checked.
+    A stack holds B copies at each of P grid points, (P, B, d, d). Each metric
+    is evaluated once per step over the grid axis; ``columns[name][k]`` lists
+    its values at grid point k. Only indices n in the half-open ``window``
+    (default: all) are evaluated, but the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
-    columns = {name: [] for name in names}
-    evaluate = [(_METRICS[name], columns[name].append) for name in names]
+    flat = {name: [] for name in names}  # step-major: grid point k's values are flat[name][k::P]
+    evaluate = [(_METRICS[name], flat[name].extend) for name in names]
     for n, stack in states:
         if start <= n < stop:
             rho_as = _system_reductions(stack)
-            for metric, append in evaluate:
-                append(metric(rho_as, stack))
-    return columns, stack
+            for metric, extend in evaluate:
+                extend(metric(rho_as, stack))
+    return {name: [v[k::len(stack)] for k in range(len(stack))] for name, v in flat.items()}, stack
 
 
-def _evolve(rhos: np.ndarray, schedule: Schedule, p: float):
-    """Step a (B, d, d) stack of register copies through ``schedule``.
+def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float]):
+    """Step B register copies at each grid point k, with probability ps[k], through ``schedule``.
 
-    Yields ``(0, rhos)`` first and then ``(n, rhos)`` after the n-th
-    collision. Each pair's unitary is built once per call. The steps run in
-    chunks of about CHECK_CHUNK_ENTRIES state entries, and each chunk's
-    states are checked by one stacked ``_first_violation`` call, which covers
-    every copy after every collision, before any of them is yielded. Only a
-    failed chunk is searched step by step, so a violation names the first
-    failing step, the pair, p and the lowest failing copy at that step.
+    ``rhos`` is their (P, B, d, d) stack. Yields ``(0, rhos)`` first and then
+    ``(n, rhos)`` after the n-th collision. Each pair's (P, d, d) unitaries are
+    built once per call, and one ``u @ rhos @ uh`` steps the whole grid. The
+    steps run in chunks of about CHECK_CHUNK_ENTRIES state entries, which
+    bound the memory, and each chunk's states are checked by one stacked
+    ``_first_violation`` call, which covers every grid point and copy after
+    every collision, before any of them is yielded. It scans a failed chunk in
+    (step, grid point, copy) order: a violation names the first failing step,
+    its pair, and then the lowest failing grid index (its p) and copy.
     """
     yield 0, rhos
-    unitaries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    events = schedule.events
+    unitaries = {}
+    for pair in dict.fromkeys(map(tuple, schedule.events)):
+        u = np.stack([pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps])
+        unitaries[pair] = (u[:, np.newaxis], u.conj().swapaxes(-1, -2)[:, np.newaxis])
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
-    for first in range(0, len(events), chunk):
-        block = events[first:first + chunk]
+    for first in range(0, len(schedule), chunk):
+        block = schedule.events[first:first + chunk]
         states = np.empty((len(block),) + rhos.shape, dtype=complex)
         # Steps past a violation in the same chunk are still computed and may
         # overflow; the check reports the violation, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (i, j) in enumerate(block):
-                if (i, j) not in unitaries:
-                    u = pair_collision_unitary(schedule.n_qubits, (i, j), p).matrix
-                    unitaries[i, j] = (u, u.conj().T)
                 u, uh = unitaries[i, j]
                 rhos = states[k] = u @ rhos @ uh
-            if _first_violation(states.reshape(-1, *rhos.shape[1:])) is not None:
-                for n, ((i, j), stack) in enumerate(zip(block, states), start=first + 1):
-                    violation = _first_violation(stack)
-                    if violation is not None:
-                        copy, reason = violation
-                        raise InvariantViolationError(
-                            f"step {n}, pair ({i}, {j}), p = {float(p)!r}, copy {copy}: {reason}",
-                            step=n, pair=(i, j), p=float(p), copy=copy,
-                        )
+            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
+        if violation is not None:
+            step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
+            (i, j), n, p = block[step], first + 1 + step, float(ps[point])
+            raise InvariantViolationError(
+                f"step {n}, pair ({i}, {j}), p = {p!r}, copy {copy}: {violation[1]}",
+                step=n, pair=(i, j), p=p, copy=copy,
+            )
         yield from enumerate(states, start=first + 1)
 
 
@@ -281,11 +281,9 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
     ``systems`` is a single pure system state or a pair of them; with a pair,
     both registers see the identical collision sequence and the trace
     distance of the reduced system states is recorded at every step. The
-    copies evolve as one (B, d, d) stack, and each pair's unitary is built
-    once per call. Every copy is checked after every collision, one chunk of
-    collisions per stacked check, before any metric of those collisions is
-    computed; a violation names the first failing step, the pair, p and the
-    copy.
+    copies are the one-grid-point case of ``_evolve`` and ``_record``, so
+    every copy is checked after every collision before any metric of it is
+    computed; a violation names the first failing step, the pair, p and copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
@@ -299,14 +297,14 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
         names += ["coherence_env", "negativity"]
     if len(states) == 2:
         names.append("trace_distance")
-    rhos = np.stack([reg.rho for reg in initial])
-    columns, rhos = _record(_evolve(rhos, schedule, p), names)
+    rhos = np.stack([reg.rho for reg in initial])[np.newaxis]
+    columns, rhos = _record(_evolve(rhos, schedule, [p]), names)
     return Trajectory(
-        columns=columns,
+        columns={name: grid[0] for name, grid in columns.items()},
         p=float(p),
         weights=tuple((a.w_g, a.w_e) for a in anc),
         schedule=schedule,
-        final_registers=tuple(replace(reg, rho=rho) for reg, rho in zip(initial, rhos)),
+        final_registers=tuple(replace(reg, rho=rho) for reg, rho in zip(initial, rhos[0])),
     )
 
 
@@ -348,13 +346,14 @@ def markovian_trajectory(
         lambda pair, _: tuple(markovian_step(rho, p, ancilla) for rho in pair),
         initial=tuple(pure_qubit_density(s) for s in states),
     )
-    columns, final = _record(enumerate(pairs), ["coherence_a", "rho_a_diag", "trace_distance"])
+    stacks = ((n, np.array([pair])) for n, pair in enumerate(pairs))
+    columns, final = _record(stacks, ["coherence_a", "rho_a_diag", "trace_distance"])
     return Trajectory(
-        columns=columns,
+        columns={name: grid[0] for name, grid in columns.items()},
         p=float(p),
         weights=((ancilla.w_g, ancilla.w_e),),
         schedule=None,
-        final_registers=final,
+        final_registers=tuple(final[0]),
     )
 
 
@@ -385,14 +384,14 @@ def orbit_sweep(
 
     For each p the chosen metric series is recorded over ``window`` (a
     half-open range of collision indices, by default the last 60, the tail
-    that ``detect_period`` classifies). Only the requested metric is
-    computed, and only inside the window, by the recorder of
-    ``run_trajectory``, so the values equal its series from
-    SUPERPOSITION_PLUS (and SUPERPOSITION_MINUS for the trace distance).
-    Every collision, before the window too, is still checked, one chunk of
-    collisions per stacked check and before any metric of the chunk is
-    computed. Grid points are independent, so they may be computed in any
-    order; results are stored in grid order.
+    that ``detect_period`` classifies). One ``_evolve`` call steps the whole
+    grid as one stack, with memory bounded by a chunk of collisions, and the
+    recorder of ``run_trajectory`` computes only the requested metric, only
+    inside the window, once per step over the grid axis. So the values equal,
+    bit for bit, that run's series from SUPERPOSITION_PLUS (and
+    SUPERPOSITION_MINUS for the trace distance) at each p alone. Every
+    collision at every p, before the window too, is still checked, and a
+    violation names the first failing step, then the lowest failing p index.
     """
     grid = tuple(float(p) for p in p_grid)
     if not grid:
@@ -409,9 +408,8 @@ def orbit_sweep(
     states = (SUPERPOSITION_PLUS,)
     if metric == "trace_distance":
         states += (SUPERPOSITION_MINUS,)
-    values = []
-    for p in grid:
-        initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
-        columns, _ = _record(_evolve(initial, schedule, p), [field], (start, stop))
-        values.append(tuple(columns[field]))
-    return OrbitDiagram(p_grid=grid, values=tuple(values), window=(start, stop), metric=metric)
+    initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
+    rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
+    columns, _ = _record(_evolve(rhos, schedule, grid), [field], (start, stop))
+    return OrbitDiagram(p_grid=grid, values=tuple(map(tuple, columns[field])),
+                        window=(start, stop), metric=metric)

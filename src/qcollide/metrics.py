@@ -1,4 +1,5 @@
-"""Information-theoretic state metrics and backflow detection."""
+"""Information-theoretic state metrics and backflow detection. A state metric maps a density
+matrix to a float, and a (..., d, d) stack to the array of, bit for bit, its matrices' floats."""
 
 from __future__ import annotations
 
@@ -14,16 +15,22 @@ from . import qmat
 BACKFLOW_TOL = 1e-9
 
 
-def l1_coherence(rho: np.ndarray) -> float:
+def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed energy basis."""
     # Summing only the off-diagonal magnitudes keeps their relative precision
     # when they are far below the diagonal; sum|a| - sum|diag| would cancel them.
+    # The reshape fails unless the last two axes are square.
     mags = np.abs(np.asarray(rho, dtype=complex))
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.sum())
+    flat = mags.reshape(*mags.shape[:-2], mags.shape[-1] ** 2)
+    flat[..., ::mags.shape[-1] + 1] = 0.0
+    return _scalar_or_stack(flat.sum(axis=-1))
 
 
-def negativity(rho: np.ndarray, dims: Sequence[int]) -> float:
+def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
     """Entanglement negativity across the bipartition ``dims``.
 
     Computed as (||rho^(T_first)||_1 - 1) / 2, equal to the absolute sum of
@@ -31,11 +38,11 @@ def negativity(rho: np.ndarray, dims: Sequence[int]) -> float:
     states.
     """
     pt = qmat.partial_transpose(rho, dims, subsystem=0)
-    return max(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0)
+    return _scalar_or_stack(np.fmax(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0))
 
 
-def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density matrices."""
+def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of the difference of two density matrices (or stacks)."""
     a = np.asarray(r1, dtype=complex)
     b = np.asarray(r2, dtype=complex)
     if a.shape != b.shape:

@@ -1,7 +1,9 @@
 """Dense complex linear algebra for small multi-qubit registers (dim <= 16).
 
 All operations are pure functions on numpy arrays and never mutate their
-inputs. Eigenvalue problems go to LAPACK through ``numpy.linalg``.
+inputs. Eigenvalue problems go to LAPACK through ``numpy.linalg``. Functions
+documented as taking a (..., d, d) stack give each matrix of it, bit for bit,
+the result of the call on that matrix alone.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 
-def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _as_square(m, name)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _require_hermitian(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+    a = _as_square(m, name, stack=stack)
+    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
     if dev >= HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return a
@@ -63,32 +65,27 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
 
 
 def partial_transpose(rho: np.ndarray, dims: Sequence[int], subsystem: int = 0) -> np.ndarray:
-    """Transpose one factor of a bipartite square matrix, leaving the other intact."""
-    a = _as_square(rho, "rho")
+    """Transpose one factor of a bipartite square matrix or (..., d, d) stack, leaving the other."""
+    a = _as_square(rho, "rho", stack=True)
     da, db = dims
-    if da * db != a.shape[0]:
-        raise ValueError(f"dims {tuple(dims)} do not match matrix dim {a.shape[0]}")
+    if da * db != a.shape[-1]:
+        raise ValueError(f"dims {tuple(dims)} do not match matrix dim {a.shape[-1]}")
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    t = a.reshape(da, db, da, db)
-    axes = (2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1)
-    return t.transpose(axes).reshape(da * db, da * db)
+    t = a.reshape(a.shape[:-2] + (da, db, da, db))
+    t = t.swapaxes(-4, -2) if subsystem == 0 else t.swapaxes(-3, -1)
+    return t.reshape(a.shape)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(_require_hermitian(h, "h"))
+    """Real eigenvalues of a Hermitian matrix, ascending; (..., d) for a (..., d, d) stack."""
+    return np.linalg.eigvalsh(_require_hermitian(h, "h", stack=True))
 
 
-def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching eigenvector columns of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(_require_hermitian(h, "h"))
-    return vals, vecs
-
-
-def trace_norm_hermitian(h: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(h))))
+def trace_norm_hermitian(h: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute eigenvalues of a Hermitian matrix (float) or (..., d, d) stack (array)."""
+    norms = np.abs(hermitian_eigenvalues(h)).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def is_positive_semidefinite(h: np.ndarray, tol: float = 0.0) -> bool:

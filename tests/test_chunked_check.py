@@ -26,13 +26,15 @@ CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (2 * 8 * 8)
 
 
 def corrupt(monkeypatch, factors):
-    """Make pair_collision_unitary return ``matrix @ factors[pair]`` for the given pairs."""
+    """Make pair_collision_unitary return ``matrix @ factor`` for each factor given
+    for a pair, ``factors[pair]``, or for a pair at one p, ``factors[pair, p]``."""
     real = dynamics.pair_collision_unitary
 
     def patched(n_qubits, pair, p):
         cu = real(n_qubits, pair, p)
-        if tuple(pair) in factors:
-            return dataclasses.replace(cu, matrix=cu.matrix @ factors[tuple(pair)])
+        factor = factors.get((tuple(pair), p), factors.get(tuple(pair)))
+        if factor is not None:
+            return dataclasses.replace(cu, matrix=cu.matrix @ factor)
         return cu
 
     monkeypatch.setattr(dynamics, "pair_collision_unitary", patched)
@@ -163,3 +165,77 @@ class TestExitFourStderr:
         )
         assert "Warning" not in captured.err
         assert not out.exists()
+
+
+# Collisions per chunk for a grid of four points, each a pair of 8x8 registers.
+GRID = (0.3, 0.4, 0.5, 0.6)
+GRID_CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (len(GRID) * 2 * 8 * 8)
+
+
+def grid_violation(events):
+    """The violation that stepping PAIR at every point of GRID through ``events`` raises."""
+    initial = np.stack([model.composite_initial(s, [ANC, ANC]).rho for s in PAIR])
+    rhos = np.broadcast_to(initial, (len(GRID),) + initial.shape)
+    with pytest.raises(dynamics.InvariantViolationError) as info:
+        for _ in dynamics._evolve(rhos, dynamics.Schedule(3, tuple(events)), GRID):
+            pass
+    return info.value
+
+
+class TestGridPoints:
+    def test_grid_chunk_holds_several_steps(self):
+        assert GRID_CHUNK >= 8
+
+    def test_non_unitary_collision_at_one_grid_point_exits_four(self, monkeypatch, capsys):
+        # A unitary scaled by 1 + 6e-13 at the fifth grid point only raises
+        # the trace slowly, so the drift passes the bound in the second chunk
+        # of the grid run. The grid run names the same step, p and copy as a
+        # run at that p alone.
+        spec = "0.5:0.85:0.05"
+        bad_p = cli.parse_grid(spec)[4]
+        corrupt(monkeypatch, {((0, 1), bad_p): (1 + 6e-13) * np.eye(4)})
+        assert cli.main(["orbit", "--p", repr(bad_p), "--collisions", "100"]) == 4
+        alone = capsys.readouterr().err
+        assert cli.main(["orbit", "--p-grid", spec, "--collisions", "100"]) == 4
+        err = capsys.readouterr().err
+        assert err == alone
+        step = int(err.split("step ")[1].split(",")[0])
+        grid_chunk = dynamics.CHECK_CHUNK_ENTRIES // (8 * 4 * 4)
+        assert grid_chunk < step <= 100
+        assert f"pair (0, 1), p = {bad_p!r}, copy 0: trace drifted" in err
+
+    def test_earlier_step_wins_over_a_lower_grid_index(self, monkeypatch):
+        # Grid point 3 drifts at the (0, 2) step; grid point 1 drifts at the
+        # later (0, 1) step of the same chunk. The earlier step is reported.
+        corrupt(monkeypatch, {((0, 2), GRID[3]): drift(KET_PLUS),
+                              ((0, 1), GRID[1]): 1.01 * np.eye(8)})
+        step = GRID_CHUNK + 3
+        err = grid_violation(quiet(step - 1) + ((0, 2),) + quiet(3) + ((0, 1),) + quiet(2))
+        assert (err.step, err.pair, err.p, err.copy) == (step, (0, 2), GRID[3], 0)
+
+    def test_lower_grid_index_wins_within_a_step(self, monkeypatch):
+        # At one step copy 1 drifts at grid point 1 and copy 0 drifts, a
+        # thousand times further, at grid point 3: the lower grid index wins
+        # over the lower copy.
+        corrupt(monkeypatch, {((0, 2), GRID[1]): drift(KET_MINUS),
+                              ((0, 2), GRID[3]): drift(KET_PLUS, 1e-3)})
+        step = 2 * GRID_CHUNK + 5
+        err = grid_violation(quiet(step - 1) + ((0, 2),) + quiet(4))
+        assert (err.step, err.pair, err.p, err.copy) == (step, (0, 2), GRID[1], 1)
+        assert str(err).startswith(f"step {step}, pair (0, 2), p = {GRID[1]!r}, copy 1: ")
+
+    def test_trace_distance_sweep_names_the_drifting_copy(self, monkeypatch):
+        # Only the copy prepared in |-> drifts, and only at the third grid
+        # point; the sweep names the same step, pair, p and copy as a sweep
+        # of that p alone.
+        grid = [0.5, 0.6, 0.7, 0.8]
+        minus_only = np.eye(4) + 1e-6 * np.kron(np.outer(KET_MINUS, KET_MINUS), np.eye(2))
+        corrupt(monkeypatch, {((0, 1), grid[2]): minus_only})
+        errors = []
+        for ps in (grid, grid[2:3]):
+            with pytest.raises(dynamics.InvariantViolationError) as info:
+                dynamics.orbit_sweep(ps, 100, metric="trace_distance")
+            errors.append(info.value)
+        swept, alone = errors
+        assert (swept.step, swept.pair, swept.p, swept.copy) == (1, (0, 1), grid[2], 1)
+        assert str(swept) == str(alone)

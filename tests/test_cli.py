@@ -196,6 +196,21 @@ class TestOrbitCommand:
         assert ps == sorted(ps)
         assert header["p_grid"] == "0.5:0.55:0.05"
 
+    def test_grid_rows_equal_the_rows_of_single_point_runs(self, tmp_path):
+        # The grid is stepped as one stack; that must change no bit of a row.
+        def data_lines(argv):
+            code, path = run(argv, tmp_path)
+            assert code == 0
+            lines = [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
+            assert lines[0] == b"p,value"
+            return lines[1:]
+
+        spec = "0.5:0.85:0.05"
+        singles = [data_lines(["orbit", "--p", repr(p), "--collisions", "100"])
+                   for p in cli.parse_grid(spec)]
+        assert len(singles) == 8 and all(len(rows) == 60 for rows in singles)
+        assert data_lines(["orbit", "--p-grid", spec, "--collisions", "100"]) == sum(singles, [])
+
     def test_empty_grid_exits_two(self, tmp_path, capsys):
         code = cli.main(["orbit", "--p-grid", "0.9:0.5:0.01"])
         assert code == 2

@@ -49,6 +49,15 @@ class TestL1Coherence:
         )
 
 
+    def test_stack_gives_each_matrix_its_own_value(self):
+        # Zeroing the diagonal of a stack must zero each matrix's diagonal,
+        # not the main diagonal of the 3-D array.
+        rho = np.array([[0.5, 0.3], [0.3, 0.5]])
+        np.testing.assert_array_equal(metrics.l1_coherence(np.stack([rho, rho])), [0.6, 0.6])
+        stack = np.stack([rho, np.diag([0.8, 0.2]), np.array([[0.5, 0.1j], [-0.1j, 0.5]])])
+        np.testing.assert_array_equal(metrics.l1_coherence(stack), [0.6, 0.0, 0.2])
+
+
 class TestNegativity:
     def test_product_states_are_zero(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the collision unitary, the fresh-ancilla map and the partial trace."""
+"""Hypothesis properties of the collision unitary, the fresh-ancilla map, the partial trace
+and the stack-aware metrics."""
 
 import itertools
 import math
@@ -83,3 +84,44 @@ def test_partial_trace_one_subsystem_at_a_time(data, n, seed):
     np.testing.assert_allclose(
         stepwise, qmat.partial_trace(rho, [2] * n, keep=keep), rtol=0.0, atol=1e-14
     )
+
+
+# Each stack-aware function as a function of two stacks of density matrices
+# of shape (..., da * db, da * db), and whether it maps a matrix to a float.
+STACK_AWARE = {
+    "l1_coherence": (lambda r, s, dims: metrics.l1_coherence(r), True),
+    "trace_distance": (lambda r, s, dims: metrics.trace_distance(r, s), True),
+    "negativity": (lambda r, s, dims: metrics.negativity(r, dims), True),
+    "trace_norm_hermitian": (lambda r, s, dims: qmat.trace_norm_hermitian(r - s), True),
+    "hermitian_eigenvalues": (lambda r, s, dims: qmat.hermitian_eigenvalues(r - s), False),
+    "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims, subsystem=1), False),
+}
+
+
+def random_densities(rng, shape, dim):
+    m = rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(STACK_AWARE)),
+    dims=st.sampled_from([(1, 2), (2, 2), (2, 4), (4, 2), (2, 8), (4, 4)]),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_stacked_call_equals_the_calls_on_each_matrix(name, dims, shape, seed):
+    function, scalar = STACK_AWARE[name]
+    rng = np.random.default_rng(seed)
+    dim = dims[0] * dims[1]
+    r, s = random_densities(rng, shape, dim), random_densities(rng, shape, dim)
+    singles = [function(a, b, dims) for a, b in zip(r.reshape(-1, dim, dim), s.reshape(-1, dim, dim))]
+    if scalar:
+        assert all(type(x) is float for x in singles)
+    stacked = function(r, s, dims)
+    assert isinstance(stacked, np.ndarray)
+    assert stacked.shape[:len(shape)] == shape
+    expected = np.reshape(singles, stacked.shape)
+    assert stacked.dtype == expected.dtype
+    assert stacked.tobytes() == expected.tobytes()
