@@ -36,7 +36,6 @@ from .model import (
 )
 from .qmat import (
     hermitian_eigenvalues,
-    is_positive_semidefinite,
     kron,
     partial_trace,
     partial_transpose,
@@ -62,7 +61,6 @@ __all__ = [
     "detect_period",
     "distinct_values",
     "hermitian_eigenvalues",
-    "is_positive_semidefinite",
     "kron",
     "l1_coherence",
     "markovian_step",

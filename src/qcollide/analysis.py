@@ -36,8 +36,8 @@ def detect_period(series: Sequence[float], window: int = VERDICT_WINDOW) -> Seri
     A period k is confirmed when |x(n+k) - x(n)| < PERIOD_TOL for every n in
     the window; k values whose cycle would fit fewer than MIN_REPEATS times
     are not claimable. With no period up to MAX_PERIOD the verdict is
-    aperiodic. Values are counted as distinct under CLUSTER_TOL. Verdicts are
-    relative to the analyzed window by construction.
+    aperiodic. Values are counted as distinct under CLUSTER_TOL (a non-finite
+    one is an error). Verdicts are relative to the analyzed window.
     """
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
@@ -65,6 +65,8 @@ def cluster_values(series: Sequence[float], cluster_tol: float = CLUSTER_TOL) ->
     if not cluster_tol >= 0:
         raise ValueError(f"cluster tolerance must be non-negative, got {cluster_tol}")
     x = np.sort(np.asarray(series, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("series has a non-finite value")
     if len(x) == 0:
         raise ValueError("series is empty")
     cuts = np.flatnonzero(np.diff(x) > cluster_tol)

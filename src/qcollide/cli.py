@@ -184,11 +184,9 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     if args.ancillas == 1:
         if args.seed is not None or args.restrict_system_ancilla:
             raise ConfigError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
-        scenario = "single"
         seed = None
         schedule = repeated_schedule(2, (0, 1), args.collisions)
     else:
-        scenario = "multi"
         seed = args.seed if args.seed is not None else secrets.randbits(63)
         schedule = random_schedule(
             n_qubits, args.collisions, seed,
@@ -200,7 +198,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     )
     header = {
         "command": "trajectory",
-        "scenario": scenario,
+        "scenario": "single" if args.ancillas == 1 else "multi",
         "p": p,
         "w_g": args.wg,
         "n_ancillas": args.ancillas,
@@ -211,19 +209,16 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         "format": args.format,
         "backflow_tol": tol,
     }
-    if scenario == "single":
-        fields = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
-    else:
+    if args.ancillas > 1:
         header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
-        fields = ["coherence_a", "trace_distance"]
-    rows = [[n, *row] for n, row in enumerate(zip(*(traj.columns[f] for f in fields)))]
+    rows = [[n, *row] for n, row in enumerate(zip(*traj.columns.values()))]
     report = backflow_events(traj.trace_distance_series(), tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
         f"(backflow_tol = {_fmt(tol)})"
     ]
-    return header, ["n", "coherence_A", *fields[1:]], rows[start:stop], footer
+    return header, ["n", "coherence_A", *list(traj.columns)[1:]], rows[start:stop], footer
 
 
 def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
@@ -263,8 +258,7 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
-        values = enumerate(zip(traj.columns["trace_distance"], traj.columns["coherence_a"]))
-        rows += [[n, p, distance, coherence] for n, (distance, coherence) in values][start:stop]
+        rows += [[n, p, *row] for n, row in enumerate(zip(*traj.columns.values()))][start:stop]
         report = backflow_events(traj.trace_distance_series(), tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "

@@ -63,11 +63,11 @@ class Schedule:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_qubits <= 4:
-            raise ValueError(f"n_qubits must be 2..4, got {self.n_qubits}")
+        if not (isinstance(self.n_qubits, (int, np.integer)) and 2 <= self.n_qubits <= 4):
+            raise ValueError(f"n_qubits must be 2..4, got {self.n_qubits!r}")
         for ev in self.events:
             i, j = ev
-            if not 0 <= i < j < self.n_qubits:
+            if not (all(isinstance(k, (int, np.integer)) for k in ev) and 0 <= i < j < self.n_qubits):
                 raise ValueError(f"event {ev} invalid for {self.n_qubits} qubits")
 
     def __len__(self) -> int:
@@ -155,19 +155,16 @@ def collide(reg: Register, pair: tuple[int, int], p: float) -> Register:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-collision metric columns plus the configuration that produced them.
+    """Per-collision metric columns and the final states of a run.
 
-    ``columns`` maps each recorded metric name to its value after each
-    collision n = 0, 1, ... (n = 0 is the initial state).
+    ``columns`` maps each recorded metric name, in print order, to its value
+    after each collision n = 0, 1, ... (n = 0 is the initial state).
     ``final_registers`` holds the evolved state of each tracked copy:
     Register objects for collision runs, bare 2x2 arrays for fresh-ancilla
     runs.
     """
 
     columns: dict[str, list]
-    p: float
-    weights: tuple[tuple[float, float], ...]
-    schedule: Schedule | None
     final_registers: tuple
 
     def _series(self, name: str) -> np.ndarray:
@@ -209,7 +206,6 @@ def _system_reductions(rhos):
 # and the copies: the list of its values at each grid point. Trace distance: copies 0 and 1.
 _METRICS = {
     "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[:, 0]).tolist(),
-    "rho_a_diag": lambda rho_as, rhos: map(tuple, rho_as[:, 0].diagonal(0, -2, -1).real.tolist()),
     "coherence_env": lambda rho_as, rhos: metrics.l1_coherence(
         np.einsum("pijik->pjk", rhos[:, 0].reshape(-1, 2, 2, 2, 2))).tolist(),
     "negativity": lambda rho_as, rhos: metrics.negativity(rhos[:, 0], (2, 2)).tolist(),
@@ -292,7 +288,7 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
             f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
         )
     initial = [composite_initial(s, anc) for s in states]
-    names = ["coherence_a", "rho_a_diag"]
+    names = ["coherence_a"]
     if schedule.n_qubits == 2:
         names += ["coherence_env", "negativity"]
     if len(states) == 2:
@@ -301,9 +297,6 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
     columns, rhos = _record(_evolve(rhos, schedule, [p]), names)
     return Trajectory(
         columns={name: grid[0] for name, grid in columns.items()},
-        p=float(p),
-        weights=tuple((a.w_g, a.w_e) for a in anc),
-        schedule=schedule,
         final_registers=tuple(replace(reg, rho=rho) for reg, rho in zip(initial, rhos[0])),
     )
 
@@ -311,22 +304,20 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
 def markovian_step(rho_a: np.ndarray, p: float, ancilla: ThermalAncilla) -> np.ndarray:
     """One collision with a fresh thermal ancilla, reduced to the system qubit.
 
-    The populations relax toward (w_g, w_e) at rate p and the off-diagonal
+    Maps a single-qubit state, or each state of a (..., 2, 2) stack. The
+    populations relax toward (w_g, w_e) at rate p and the off-diagonal
     entries shrink by sqrt(1-p); the composition of n such steps is the
     n-collision memoryless evolution.
     """
     a = np.asarray(rho_a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a single-qubit state, got shape {a.shape}")
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected single-qubit states, got shape {a.shape}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interaction probability must lie in [0, 1], got {p}")
     stay = math.sqrt(1.0 - p)
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = (1.0 - p * ancilla.w_e) * a[0, 0] + p * ancilla.w_g * a[1, 1]
-    out[1, 1] = (1.0 - p * ancilla.w_g) * a[1, 1] + p * ancilla.w_e * a[0, 0]
-    out[0, 1] = stay * a[0, 1]
-    out[1, 0] = stay * a[1, 0]
-    return out
+    keep = np.array([[1.0 - p * ancilla.w_e, stay], [stay, 1.0 - p * ancilla.w_g]])
+    gain = np.array([[p * ancilla.w_g, 0.0], [0.0, p * ancilla.w_e]])
+    return keep * a + gain * a[..., ::-1, ::-1]
 
 
 def markovian_trajectory(
@@ -335,24 +326,20 @@ def markovian_trajectory(
     ancilla: ThermalAncilla,
     n_steps: int,
 ) -> Trajectory:
-    """Iterate the fresh-ancilla map on a pair of system states."""
+    """Iterate the fresh-ancilla map on a pair of system states, stepped as one stack."""
     states = _system_states(systems)
     if len(states) != 2:
         raise ValueError("the memoryless run tracks a pair of system states")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    pairs = itertools.accumulate(
+    stacks = itertools.accumulate(
         range(n_steps),
-        lambda pair, _: tuple(markovian_step(rho, p, ancilla) for rho in pair),
-        initial=tuple(pure_qubit_density(s) for s in states),
+        lambda rhos, _: markovian_step(rhos, p, ancilla),
+        initial=np.stack([pure_qubit_density(s) for s in states])[np.newaxis],
     )
-    stacks = ((n, np.array([pair])) for n, pair in enumerate(pairs))
-    columns, final = _record(stacks, ["coherence_a", "rho_a_diag", "trace_distance"])
+    columns, final = _record(enumerate(stacks), ["trace_distance", "coherence_a"])
     return Trajectory(
         columns={name: grid[0] for name, grid in columns.items()},
-        p=float(p),
-        weights=((ancilla.w_g, ancilla.w_e),),
-        schedule=None,
         final_registers=tuple(final[0]),
     )
 
@@ -364,7 +351,6 @@ class OrbitDiagram:
     p_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
     window: tuple[int, int]
-    metric: str
 
 
 # The column that _record evaluates for each orbit metric.
@@ -402,7 +388,8 @@ def orbit_sweep(
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window
-    if not 0 <= start < stop <= n_collisions + 1:
+    if not (all(isinstance(b, (int, np.integer)) for b in window)
+            and 0 <= start < stop <= n_collisions + 1):
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
     schedule = repeated_schedule(2, (0, 1), n_collisions)
     states = (SUPERPOSITION_PLUS,)
@@ -411,5 +398,4 @@ def orbit_sweep(
     initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
     rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
     columns, _ = _record(_evolve(rhos, schedule, grid), [field], (start, stop))
-    return OrbitDiagram(p_grid=grid, values=tuple(map(tuple, columns[field])),
-                        window=(start, stop), metric=metric)
+    return OrbitDiagram(p_grid=grid, values=tuple(map(tuple, columns[field])), window=(start, stop))

@@ -71,6 +71,8 @@ def backflow_events(series: Sequence[float], tol: float = BACKFLOW_TOL) -> Backf
         raise ValueError("series must contain at least two values")
     if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
+    if not np.isfinite(values).all():
+        raise ValueError("series has a non-finite value")
     events = tuple(
         (n, values[n + 1] - values[n])
         for n in range(len(values) - 1)

@@ -24,8 +24,8 @@ def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> n
     return a
 
 
-def _require_hermitian(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
-    a = _as_square(m, name, stack=stack)
+def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    a = _as_square(m, name, stack=True)
     dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
     if dev >= HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
@@ -79,17 +79,10 @@ def partial_transpose(rho: np.ndarray, dims: Sequence[int], subsystem: int = 0) 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; (..., d) for a (..., d, d) stack."""
-    return np.linalg.eigvalsh(_require_hermitian(h, "h", stack=True))
+    return np.linalg.eigvalsh(_require_hermitian(h, "h"))
 
 
 def trace_norm_hermitian(h: np.ndarray) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix (float) or (..., d, d) stack (array)."""
     norms = np.abs(hermitian_eigenvalues(h)).sum(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def is_positive_semidefinite(h: np.ndarray, tol: float = 0.0) -> bool:
-    """True when Hermitian ``h`` has no eigenvalue below -tol (LAPACK, via ``numpy.linalg``)."""
-    # Not routed through hermitian_eigenvalues, so that a traced benchmark run
-    # counts these solves in their own layer, apart from the metric eigen-solves.
-    return bool(np.linalg.eigvalsh(_require_hermitian(h, "h"))[0] >= -tol)

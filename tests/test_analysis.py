@@ -119,3 +119,14 @@ class TestArgumentValidation:
 
     def test_zero_cluster_tolerance_counts_exact_values(self):
         assert analysis.distinct_values([0.0, 0.0, 0.5, 1.0], cluster_tol=0.0) == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("func", [analysis.cluster_values, analysis.distinct_values])
+    def test_clustering_rejects_a_non_finite_value(self, func, bad):
+        # A NaN sorts last and fails every gap test, so it swallowed the values above it.
+        with pytest.raises(ValueError, match="non-finite"):
+            func([0.0, bad, 1.0])
+
+    def test_detect_period_rejects_a_non_finite_value_in_the_tail(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.detect_period([1.0, 0.5] * 50 + [float("nan")])

@@ -210,3 +210,9 @@ class TestBackflowEvents:
         # With tol = NaN no rise would count, which reads as the memoryless verdict.
         with pytest.raises(ValueError, match="non-negative"):
             metrics.backflow_events([0.0, 1.0, 0.0, 1.0], tol=float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_value(self, bad):
+        # A rise to or from NaN compares false, so it read as no event at all.
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.backflow_events([0.1, bad, 0.2])

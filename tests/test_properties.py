@@ -95,7 +95,12 @@ STACK_AWARE = {
     "trace_norm_hermitian": (lambda r, s, dims: qmat.trace_norm_hermitian(r - s), True),
     "hermitian_eigenvalues": (lambda r, s, dims: qmat.hermitian_eigenvalues(r - s), False),
     "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims, subsystem=1), False),
+    "markovian_step": (
+        lambda r, s, dims: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8, 0.2)), False
+    ),
 }
+# Functions of single-qubit states, which are drawn with dims (1, 2) only.
+QUBIT_ONLY = {"markovian_step"}
 
 
 def random_densities(rng, shape, dim):
@@ -113,6 +118,8 @@ def random_densities(rng, shape, dim):
 )
 def test_stacked_call_equals_the_calls_on_each_matrix(name, dims, shape, seed):
     function, scalar = STACK_AWARE[name]
+    if name in QUBIT_ONLY:
+        dims = (1, 2)
     rng = np.random.default_rng(seed)
     dim = dims[0] * dims[1]
     r, s = random_densities(rng, shape, dim), random_densities(rng, shape, dim)

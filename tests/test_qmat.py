@@ -239,17 +239,3 @@ class TestTraceNorm:
             np.trace(sqrt_h2).real, abs=1e-9
         )
 
-
-class TestPositiveSemidefinite:
-    def test_density_matrices_pass(self):
-        rng = np.random.default_rng(43)
-        assert qmat.is_positive_semidefinite(random_density(rng, 8))
-
-    def test_singular_psd_passes_with_tolerance(self):
-        assert qmat.is_positive_semidefinite(bell_projector(), tol=1e-9)
-
-    def test_negative_spectrum_fails(self):
-        assert not qmat.is_positive_semidefinite(np.diag([1.0, -1e-6]), tol=1e-9)
-
-    def test_tiny_dip_within_tolerance(self):
-        assert qmat.is_positive_semidefinite(np.diag([1.0, -1e-10]), tol=1e-9)
