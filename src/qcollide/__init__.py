@@ -26,7 +26,6 @@ from .metrics import BackflowReport, backflow_events, l1_coherence, negativity, 
 from .model import (
     CollisionUnitary,
     PureQubit,
-    Register,
     ThermalAncilla,
     composite_initial,
     pair_collision_unitary,
@@ -48,7 +47,6 @@ __all__ = [
     "InvariantViolationError",
     "OrbitDiagram",
     "PureQubit",
-    "Register",
     "Schedule",
     "SeriesVerdict",
     "ThermalAncilla",

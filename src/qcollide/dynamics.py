@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from . import metrics, qmat
 from .analysis import VERDICT_WINDOW
 from .model import (
     PureQubit,
-    Register,
     ThermalAncilla,
     composite_initial,
     pair_collision_unitary,
@@ -60,7 +59,6 @@ class Schedule:
 
     n_qubits: int
     events: tuple[tuple[int, int], ...]
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_qubits, (int, np.integer)) and 2 <= self.n_qubits <= 4):
@@ -76,8 +74,8 @@ class Schedule:
 
 def repeated_schedule(n_qubits: int, pair: tuple[int, int], n_events: int) -> Schedule:
     """Deterministic schedule repeating one pair."""
-    if n_events < 1:
-        raise ValueError("n_events must be at least 1")
+    if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
+        raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
     return Schedule(n_qubits=n_qubits, events=(tuple(pair),) * n_events)
 
 
@@ -94,15 +92,17 @@ def random_schedule(
     restricts the draw to pairs involving qubit 0. Replaying with the same
     seed reproduces the event list exactly.
     """
-    if not 3 <= n_qubits <= 4:
-        raise ValueError(f"random schedules need 3 or 4 qubits, got {n_qubits}")
-    if n_events < 1:
-        raise ValueError("n_events must be at least 1")
+    if not (isinstance(n_qubits, (int, np.integer)) and 3 <= n_qubits <= 4):
+        raise ValueError(f"random schedules need 3 or 4 qubits, got {n_qubits!r}")
+    if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
+        raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     pairs = [p for p in itertools.combinations(range(n_qubits), 2)
              if not system_ancilla_only or p[0] == 0]
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pairs), size=n_events)
-    return Schedule(n_qubits=n_qubits, events=tuple(pairs[k] for k in idx), seed=int(seed))
+    return Schedule(n_qubits=n_qubits, events=tuple(pairs[k] for k in idx))
 
 
 def _factorises(a: np.ndarray) -> bool:
@@ -140,17 +140,21 @@ def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
     return None
 
 
-def check_register(reg: Register) -> None:
-    """Raise InvariantViolationError when a register drifted out of bounds."""
-    violation = _first_violation(np.asarray(reg.rho, dtype=complex)[np.newaxis])
+def check_register(rho: np.ndarray) -> None:
+    """Raise InvariantViolationError when a register's density matrix drifted out of bounds."""
+    violation = _first_violation(np.asarray(rho, dtype=complex)[np.newaxis])
     if violation is not None:
         raise InvariantViolationError(violation[1])
 
 
-def collide(reg: Register, pair: tuple[int, int], p: float) -> Register:
-    """Apply one pairwise collision to a register."""
-    u = pair_collision_unitary(reg.n_qubits, pair, p).matrix
-    return Register(rho=u @ reg.rho @ u.conj().T, n_qubits=reg.n_qubits, labels=reg.labels)
+def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
+    """Apply one pairwise collision to the (2**n, 2**n) density matrix of an n-qubit register."""
+    rho = np.asarray(rho)
+    n_qubits = (rho.shape[0] if rho.ndim == 2 else 0).bit_length() - 1
+    if rho.shape != (2 ** n_qubits, 2 ** n_qubits):
+        raise ValueError(f"register must be a (2**n, 2**n) matrix, got shape {rho.shape}")
+    u = pair_collision_unitary(n_qubits, pair, p).matrix
+    return u @ rho @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,9 @@ class Trajectory:
 
     ``columns`` maps each recorded metric name, in print order, to its value
     after each collision n = 0, 1, ... (n = 0 is the initial state).
-    ``final_registers`` holds the evolved state of each tracked copy:
-    Register objects for collision runs, bare 2x2 arrays for fresh-ancilla
-    runs.
+    ``final_registers`` holds the evolved density matrix of each tracked
+    copy: the whole register for collision runs, the system qubit for
+    fresh-ancilla runs.
     """
 
     columns: dict[str, list]
@@ -232,24 +236,30 @@ def _record(states, names, window=None):
     return {name: [v[k::len(stack)] for k in range(len(stack))] for name, v in flat.items()}, stack
 
 
-def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float]):
-    """Step B register copies at each grid point k, with probability ps[k], through ``schedule``.
+def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
+    """Each pair's ``u @ rhos @ uh`` step, its (P, d, d) unitaries at ps built once per call."""
+    def step(pair):
+        u = np.stack([pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps])
+        u, uh = u[:, np.newaxis], u.conj().swapaxes(-1, -2)[:, np.newaxis]
+        return lambda rhos: u @ rhos @ uh
 
-    ``rhos`` is their (P, B, d, d) stack. Yields ``(0, rhos)`` first and then
-    ``(n, rhos)`` after the n-th collision. Each pair's (P, d, d) unitaries are
-    built once per call, and one ``u @ rhos @ uh`` steps the whole grid. The
-    steps run in chunks of about CHECK_CHUNK_ENTRIES state entries, which
-    bound the memory, and each chunk's states are checked by one stacked
-    ``_first_violation`` call, which covers every grid point and copy after
-    every collision, before any of them is yielded. It scans a failed chunk in
-    (step, grid point, copy) order: a violation names the first failing step,
-    its pair, and then the lowest failing grid index (its p) and copy.
+    return {pair: step(pair) for pair in dict.fromkeys(map(tuple, schedule.events))}
+
+
+def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
+    """Step B copies at each grid point k, with probability ps[k], through ``schedule``.
+
+    ``rhos`` is their (P, B, d, d) stack, and ``steps[pair]`` maps the stack
+    to its state after one collision of that pair. Yields ``(0, rhos)`` first
+    and then ``(n, rhos)`` after the n-th collision. The steps run in chunks
+    of about CHECK_CHUNK_ENTRIES state entries, which bound the memory, and
+    each chunk's states are checked by one stacked ``_first_violation`` call,
+    which covers every grid point and copy after every collision, before any
+    of them is yielded. It scans a failed chunk in (step, grid point, copy)
+    order: a violation names the first failing step, its pair, and then the
+    lowest failing grid index (its p) and copy.
     """
     yield 0, rhos
-    unitaries = {}
-    for pair in dict.fromkeys(map(tuple, schedule.events)):
-        u = np.stack([pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps])
-        unitaries[pair] = (u[:, np.newaxis], u.conj().swapaxes(-1, -2)[:, np.newaxis])
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
     for first in range(0, len(schedule), chunk):
         block = schedule.events[first:first + chunk]
@@ -258,8 +268,7 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float]):
         # overflow; the check reports the violation, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (i, j) in enumerate(block):
-                u, uh = unitaries[i, j]
-                rhos = states[k] = u @ rhos @ uh
+                rhos = states[k] = steps[i, j](rhos)
             violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
         if violation is not None:
             step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
@@ -287,18 +296,14 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
         raise ValueError(
             f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
         )
-    initial = [composite_initial(s, anc) for s in states]
     names = ["coherence_a"]
     if schedule.n_qubits == 2:
         names += ["coherence_env", "negativity"]
     if len(states) == 2:
         names.append("trace_distance")
-    rhos = np.stack([reg.rho for reg in initial])[np.newaxis]
-    columns, rhos = _record(_evolve(rhos, schedule, [p]), names)
-    return Trajectory(
-        columns={name: grid[0] for name, grid in columns.items()},
-        final_registers=tuple(replace(reg, rho=rho) for reg, rho in zip(initial, rhos[0])),
-    )
+    rhos = np.stack([composite_initial(s, anc) for s in states])[np.newaxis]
+    columns, rhos = _record(_evolve(rhos, schedule, [p], _unitary_steps(schedule, [p])), names)
+    return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 
 def markovian_step(rho_a: np.ndarray, p: float, ancilla: ThermalAncilla) -> np.ndarray:
@@ -326,22 +331,15 @@ def markovian_trajectory(
     ancilla: ThermalAncilla,
     n_steps: int,
 ) -> Trajectory:
-    """Iterate the fresh-ancilla map on a pair of system states, stepped as one stack."""
+    """Step a pair of system states through the fresh-ancilla map, checked after every collision."""
     states = _system_states(systems)
     if len(states) != 2:
         raise ValueError("the memoryless run tracks a pair of system states")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    stacks = itertools.accumulate(
-        range(n_steps),
-        lambda rhos, _: markovian_step(rhos, p, ancilla),
-        initial=np.stack([pure_qubit_density(s) for s in states])[np.newaxis],
-    )
-    columns, final = _record(enumerate(stacks), ["trace_distance", "coherence_a"])
-    return Trajectory(
-        columns={name: grid[0] for name, grid in columns.items()},
-        final_registers=tuple(final[0]),
-    )
+    schedule = repeated_schedule(2, (0, 1), n_steps)
+    steps = {(0, 1): lambda rhos: markovian_step(rhos, p, ancilla)}
+    rhos = np.stack([pure_qubit_density(s) for s in states])[np.newaxis]
+    columns, rhos = _record(_evolve(rhos, schedule, [p], steps), ["trace_distance", "coherence_a"])
+    return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 
 @dataclass(frozen=True)
@@ -395,7 +393,8 @@ def orbit_sweep(
     states = (SUPERPOSITION_PLUS,)
     if metric == "trace_distance":
         states += (SUPERPOSITION_MINUS,)
-    initial = np.stack([composite_initial(s, (ancilla,)).rho for s in states])
+    initial = np.stack([composite_initial(s, (ancilla,)) for s in states])
     rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
-    columns, _ = _record(_evolve(rhos, schedule, grid), [field], (start, stop))
+    steps = _unitary_steps(schedule, grid)
+    columns, _ = _record(_evolve(rhos, schedule, grid, steps), [field], (start, stop))
     return OrbitDiagram(p_grid=grid, values=tuple(map(tuple, columns[field])), window=(start, stop))

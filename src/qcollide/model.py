@@ -17,8 +17,6 @@ from . import qmat
 
 NORMALIZATION_TOL = 1e-12
 
-QUBIT_LABELS = ("A", "B", "C", "D")
-
 # Largest inverse-temperature gap fed to exp(); beyond this the ancilla is
 # numerically in its ground state anyway.
 _BETA_GAP_CAP = 1e6
@@ -66,15 +64,6 @@ class CollisionUnitary:
     n_qubits: int
 
 
-@dataclass(frozen=True)
-class Register:
-    """Density matrix of the full system-plus-ancillas register."""
-
-    rho: np.ndarray
-    n_qubits: int
-    labels: tuple[str, ...]
-
-
 def pure_qubit_density(q: PureQubit) -> np.ndarray:
     """Rank-1 projector of a pure qubit; entry (0, 1) is a * conj(b)."""
     vec = np.array([q.a, q.b], dtype=complex)
@@ -107,10 +96,10 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> Co
     carries a minus sign, its reverse a plus sign, making the matrix real
     orthogonal.
     """
-    if not 2 <= n_qubits <= 4:
-        raise ValueError(f"n_qubits must be 2..4, got {n_qubits}")
+    if not (isinstance(n_qubits, (int, np.integer)) and 2 <= n_qubits <= 4):
+        raise ValueError(f"n_qubits must be 2..4, got {n_qubits!r}")
     i, j = pair
-    if not 0 <= i < j < n_qubits:
+    if not (all(isinstance(k, (int, np.integer)) for k in pair) and 0 <= i < j < n_qubits):
         raise ValueError(f"pair {pair} invalid for {n_qubits} qubits (need 0 <= i < j < n)")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interaction probability must lie in [0, 1], got {p}")
@@ -128,13 +117,12 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> Co
     return CollisionUnitary(matrix=u, pair=(i, j), p=float(p), n_qubits=n_qubits)
 
 
-def composite_initial(system: PureQubit, ancillas: list[ThermalAncilla] | tuple[ThermalAncilla, ...]) -> Register:
-    """Uncorrelated initial register: system state tensored with each ancilla in order."""
+def composite_initial(system: PureQubit, ancillas: list[ThermalAncilla] | tuple[ThermalAncilla, ...]) -> np.ndarray:
+    """Uncorrelated initial density matrix: system state tensored with each ancilla in order."""
     ancillas = tuple(ancillas)
     if not 1 <= len(ancillas) <= 3:
         raise ValueError(f"need 1 to 3 ancillas, got {len(ancillas)}")
     rho = pure_qubit_density(system)
     for anc in ancillas:
         rho = qmat.kron(rho, thermal_density(anc))
-    n = 1 + len(ancillas)
-    return Register(rho=rho, n_qubits=n, labels=QUBIT_LABELS[:n])
+    return rho

@@ -48,12 +48,12 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
     dims = list(dims)
     if math.prod(dims) != a.shape[0]:
         raise ValueError(f"product of dims {dims} does not match matrix dim {a.shape[0]}")
-    keep_idx = [keep] if isinstance(keep, int) else sorted(set(int(k) for k in keep))
+    keep_idx = [keep] if np.isscalar(keep) else sorted(set(keep))
     if not keep_idx:
         raise ValueError("must keep at least one subsystem")
     for k in keep_idx:
-        if not 0 <= k < len(dims):
-            raise ValueError(f"keep index {k} out of range for {len(dims)} subsystems")
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < len(dims)):
+            raise ValueError(f"keep index {k!r} is not an integer in range for {len(dims)} subsystems")
     traced = [i for i in range(len(dims)) if i not in keep_idx]
     t = a.reshape(dims + dims)
     remaining = list(dims)

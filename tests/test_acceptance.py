@@ -207,12 +207,9 @@ def test_criterion_8_structural_oracles():
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
             rho /= np.trace(rho).real
-            reg = model.Register(
-                rho=qmat.kron(rho, model.thermal_density(ANC)), n_qubits=2,
-                labels=("A", "B"),
-            )
+            reg = qmat.kron(rho, model.thermal_density(ANC))
             reduced = qmat.partial_trace(
-                dynamics.collide(reg, (0, 1), p_step).rho, [2, 2], keep=0
+                dynamics.collide(reg, (0, 1), p_step), [2, 2], keep=0
             )
             if np.max(np.abs(dynamics.markovian_step(rho, p_step, ANC) - reduced)) >= 1e-13:
                 fresh_ok = False
@@ -229,9 +226,9 @@ def test_criterion_8_structural_oracles():
         for pair in sched.events:
             regs = [dynamics.collide(r, pair, p_run) for r in regs]
             for reg in regs:
-                trace_dev = abs(np.trace(reg.rho) - 1.0)
-                herm_dev = np.max(np.abs(reg.rho - reg.rho.conj().T))
-                lam_min = qmat.hermitian_eigenvalues(reg.rho)[0]
+                trace_dev = abs(np.trace(reg) - 1.0)
+                herm_dev = np.max(np.abs(reg - reg.conj().T))
+                lam_min = qmat.hermitian_eigenvalues(reg)[0]
                 if trace_dev >= 1e-10 or herm_dev >= 1e-10 or lam_min <= -1e-9:
                     bounds_ok = False
 

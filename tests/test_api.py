@@ -1,5 +1,6 @@
 """The public names of the package."""
 
+import dataclasses
 import inspect
 
 import qcollide
@@ -11,11 +12,14 @@ def test_every_public_name_resolves_and_the_list_is_sorted():
 
 
 def test_public_surface_is_pinned():
-    # A change to either count must come with a deliberate edit of this test.
-    functions = [obj for obj in map(qcollide.__dict__.get, qcollide.__all__) if inspect.isfunction(obj)]
+    # A change to any count must come with a deliberate edit of this test: the
+    # public names, the function parameters with a default, and the data
+    # fields of the public dataclasses.
+    objects = list(map(qcollide.__dict__.get, qcollide.__all__))
     defaults = sum(
         param.default is not param.empty
-        for function in functions
+        for function in filter(inspect.isfunction, objects)
         for param in inspect.signature(function).parameters.values()
     )
-    assert (len(qcollide.__all__), defaults) == (35, 10)
+    fields = sum(len(dataclasses.fields(obj)) for obj in objects if dataclasses.is_dataclass(obj))
+    assert (len(qcollide.__all__), defaults, fields) == (34, 10, 21)

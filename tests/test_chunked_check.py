@@ -94,8 +94,8 @@ class TestOneCopyDrift:
         corrupt(monkeypatch, {(0, 2): 1.01 * np.eye(8), (0, 1): np.eye(8) / 1.01})
         drifted = dynamics.collide(model.composite_initial(PLUS, [ANC, ANC]), (0, 2), 0.5)
         restored = dynamics.collide(drifted, (0, 1), 0.5)
-        assert np.trace(drifted.rho).real == pytest.approx(1.0201)
-        assert abs(np.trace(restored.rho) - 1.0) < dynamics.TRACE_TOL
+        assert np.trace(drifted).real == pytest.approx(1.0201)
+        assert abs(np.trace(restored) - 1.0) < dynamics.TRACE_TOL
 
 
 class TestFirstFailureWins:
@@ -135,8 +135,7 @@ class TestViolationAttributes:
         assert str(err).startswith(f"step {step}, pair (0, 2), p = 0.25, copy 1: ")
 
     def test_single_register_check_has_no_run_attributes(self):
-        reg = model.composite_initial(PLUS, [ANC])
-        bad = dataclasses.replace(reg, rho=1.5 * reg.rho)
+        bad = 1.5 * model.composite_initial(PLUS, [ANC])
         with pytest.raises(dynamics.InvariantViolationError) as info:
             dynamics.check_register(bad)
         err = info.value
@@ -174,10 +173,11 @@ GRID_CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (len(GRID) * 2 * 8 * 8)
 
 def grid_violation(events):
     """The violation that stepping PAIR at every point of GRID through ``events`` raises."""
-    initial = np.stack([model.composite_initial(s, [ANC, ANC]).rho for s in PAIR])
+    initial = np.stack([model.composite_initial(s, [ANC, ANC]) for s in PAIR])
     rhos = np.broadcast_to(initial, (len(GRID),) + initial.shape)
+    schedule = dynamics.Schedule(3, tuple(events))
     with pytest.raises(dynamics.InvariantViolationError) as info:
-        for _ in dynamics._evolve(rhos, dynamics.Schedule(3, tuple(events)), GRID):
+        for _ in dynamics._evolve(rhos, schedule, GRID, dynamics._unitary_steps(schedule, GRID)):
             pass
     return info.value
 

@@ -58,6 +58,45 @@ class TestExitFourDiagnostics:
         assert not out.exists()
 
 
+def drift_markovian_copy(monkeypatch, bad_p, step, copy):
+    """Make markovian_step scale one copy of its stack by 1.001 at its ``step``-th call at ``bad_p``."""
+    real = dynamics.markovian_step
+    calls = {}
+
+    def drifting(rhos, p, ancilla):
+        out = real(rhos, p, ancilla)
+        calls[p] = calls.get(p, 0) + 1
+        if p == bad_p and calls[p] == step:
+            out[..., copy, :, :] *= 1.001
+        return out
+
+    monkeypatch.setattr(dynamics, "markovian_step", drifting)
+
+
+class TestFreshAncillaRun:
+    # The fresh-ancilla run steps through the same checked loop as the
+    # register runs, so a drift of its 2x2 states is caught at its step.
+    def test_cli_names_step_pair_p_and_copy(self, monkeypatch, capsys, tmp_path):
+        drift_markovian_copy(monkeypatch, 0.6, 7, 1)
+        out = tmp_path / "out.csv"
+        code = cli.main(["markovian", "--p", "0.3", "--p", "0.6", "--collisions", "20",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("qcollide: numerical invariant violated: "
+                              "step 7, pair (0, 1), p = 0.6, copy 1: trace drifted")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_library_error_carries_the_location(self, monkeypatch):
+        drift_markovian_copy(monkeypatch, 0.6, 7, 1)
+        with pytest.raises(dynamics.InvariantViolationError) as info:
+            dynamics.markovian_trajectory(PAIR, 0.6, ANC, 20)
+        err = info.value
+        assert (err.step, err.pair, err.p, err.copy) == (7, (0, 1), 0.6, 1)
+        assert str(err).startswith("step 7, pair (0, 1), p = 0.6, copy 1: trace drifted")
+
+
 class TestEveryCopyEveryStep:
     @pytest.mark.parametrize("copy,ket", [(0, KET_PLUS), (1, KET_MINUS)])
     @pytest.mark.parametrize("quiet_steps", [0, 1, 5])
@@ -80,8 +119,8 @@ class TestEveryCopyEveryStep:
         corrupt_pair(monkeypatch, (0, 2), np.eye(8) + 1e-6 * system_projector(KET_MINUS, 3))
         plus, minus = (dynamics.collide(model.composite_initial(s, [ANC, ANC]), (0, 2), 0.5)
                        for s in PAIR)
-        assert np.trace(plus.rho).real == pytest.approx(1.0, abs=1e-14)
-        assert np.trace(minus.rho).real > 1.0 + 1e-6
+        assert np.trace(plus).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(minus).real > 1.0 + 1e-6
 
 
 def with_negative_eigenvalue(lam, n_qubits=2):
@@ -94,15 +133,14 @@ def with_negative_eigenvalue(lam, n_qubits=2):
     rest = 2 ** (n_qubits - 1)
     up = np.kron(KET_PLUS, np.eye(rest)[0])
     down = np.kron(KET_PLUS, np.eye(rest)[rest - 1])
-    rho = reg.rho + lam * (np.outer(up, up) - np.outer(down, down))
-    return dataclasses.replace(reg, rho=rho)
+    return reg + lam * (np.outer(up, up) - np.outer(down, down))
 
 
 class TestPositivityFloor:
     @pytest.mark.parametrize("n_qubits", [2, 4])
     def test_half_the_floor_passes(self, n_qubits):
         reg = with_negative_eigenvalue(0.5 * dynamics.POSITIVITY_FLOOR, n_qubits)
-        assert np.linalg.eigvalsh(reg.rho)[0] == pytest.approx(-0.5e-9, rel=1e-6)
+        assert np.linalg.eigvalsh(reg)[0] == pytest.approx(-0.5e-9, rel=1e-6)
         dynamics.check_register(reg)
 
     @pytest.mark.parametrize("n_qubits", [2, 4])
@@ -135,15 +173,13 @@ class TestPositivityFloor:
 
 class TestNonFiniteState:
     def test_nan_entry_is_a_violation(self):
-        reg = model.composite_initial(PLUS, [ANC])
-        rho = reg.rho.copy()
+        rho = model.composite_initial(PLUS, [ANC])
         rho[0, 3] = np.nan
         with pytest.raises(dynamics.InvariantViolationError, match="Hermiticity"):
-            dynamics.check_register(dataclasses.replace(reg, rho=rho))
+            dynamics.check_register(rho)
 
     def test_nan_diagonal_is_a_trace_violation(self):
-        reg = model.composite_initial(PLUS, [ANC])
-        rho = reg.rho.copy()
+        rho = model.composite_initial(PLUS, [ANC])
         rho[1, 1] = np.nan
         with pytest.raises(dynamics.InvariantViolationError, match="trace"):
-            dynamics.check_register(dataclasses.replace(reg, rho=rho))
+            dynamics.check_register(rho)

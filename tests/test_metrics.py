@@ -82,7 +82,7 @@ class TestNegativity:
         reg = model.composite_initial(
             model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8, 0.2)]
         )
-        rho1 = u @ reg.rho @ u.conj().T
+        rho1 = u @ reg @ u.conj().T
         value = metrics.negativity(rho1, (2, 2))
         assert 0.115 <= value <= 0.145
 
@@ -94,9 +94,9 @@ class TestNegativity:
     def test_system_environment_cut_on_larger_register(self):
         anc = model.ThermalAncilla(0.8, 0.2)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc, anc])
-        assert metrics.negativity(reg.rho, (2, 4)) < 1e-10
+        assert metrics.negativity(reg, (2, 4)) < 1e-10
         u = model.pair_collision_unitary(3, (0, 1), 0.5).matrix
-        entangled = u @ reg.rho @ u.conj().T
+        entangled = u @ reg @ u.conj().T
         assert metrics.negativity(entangled, (2, 4)) > 0.05
 
     def test_dimension_mismatch(self):

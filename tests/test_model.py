@@ -189,23 +189,21 @@ class TestCompositeInitial:
                 [0.0, 0.1, 0.0, 0.1],
             ]
         )
-        np.testing.assert_allclose(reg.rho, expected, atol=1e-15)
-        assert reg.n_qubits == 2
-        assert reg.labels == ("A", "B")
+        np.testing.assert_allclose(reg, expected, atol=1e-15)
+        assert reg.shape == (4, 4)
 
     def test_ground_times_ground(self):
         reg = model.composite_initial(
             model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0, 0.0)]
         )
-        np.testing.assert_array_equal(reg.rho, np.diag([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(reg, np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_three_ancillas_marginals(self):
         anc = model.ThermalAncilla(0.8, 0.2)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc] * 3)
-        assert reg.rho.shape == (16, 16)
-        assert reg.labels == ("A", "B", "C", "D")
+        assert reg.shape == (16, 16)
         for k in (1, 2, 3):
-            marginal = qmat.partial_trace(reg.rho, [2] * 4, keep=k)
+            marginal = qmat.partial_trace(reg, [2] * 4, keep=k)
             np.testing.assert_allclose(marginal, np.diag([0.8, 0.2]), atol=1e-14)
 
     def test_rejects_ancilla_count(self):

@@ -13,20 +13,20 @@ TOL = 1e-13
 
 
 def per_copy_run(states, ancillas, p, schedule):
-    """One Register per copy, one collide and one check_register per copy and step."""
+    """One register per copy, one collide and one check_register per copy and step."""
     registers = [model.composite_initial(s, ancillas) for s in states]
-    dims = [2] * registers[0].n_qubits
+    dims = [2] * (1 + len(ancillas))
     columns = {}
 
     def record():
-        rho_a = qmat.partial_trace(registers[0].rho, dims, keep=0)
+        rho_a = qmat.partial_trace(registers[0], dims, keep=0)
         rec = {"coherence_a": metrics.l1_coherence(rho_a)}
         if len(dims) == 2:
-            rho_env = qmat.partial_trace(registers[0].rho, dims, keep=1)
+            rho_env = qmat.partial_trace(registers[0], dims, keep=1)
             rec["coherence_env"] = metrics.l1_coherence(rho_env)
-            rec["negativity"] = metrics.negativity(registers[0].rho, (2, 2))
+            rec["negativity"] = metrics.negativity(registers[0], (2, 2))
         if len(registers) == 2:
-            other = qmat.partial_trace(registers[1].rho, dims, keep=0)
+            other = qmat.partial_trace(registers[1], dims, keep=0)
             rec["trace_distance"] = metrics.trace_distance(rho_a, other)
         for name, value in rec.items():
             columns.setdefault(name, []).append(value)
@@ -83,5 +83,5 @@ def test_stacked_run_matches_per_copy_collide(
             assert abs(got_value - want_value) <= TOL, (got_value, want_value)
     assert len(traj.final_registers) == len(want_registers)
     for got, want in zip(traj.final_registers, want_registers):
-        assert (got.n_qubits, got.labels) == (want.n_qubits, want.labels)
-        np.testing.assert_allclose(got.rho, want.rho, rtol=0.0, atol=TOL)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
