@@ -31,7 +31,6 @@ from .model import (
     pair_collision_unitary,
     pure_qubit_density,
     thermal_density,
-    thermal_from_beta,
 )
 from .qmat import (
     hermitian_eigenvalues,
@@ -73,7 +72,6 @@ __all__ = [
     "repeated_schedule",
     "run_trajectory",
     "thermal_density",
-    "thermal_from_beta",
     "trace_distance",
     "trace_norm_hermitian",
 ]

@@ -27,7 +27,7 @@ from .metrics import BACKFLOW_TOL, backflow_events
 from .model import ThermalAncilla
 
 MAX_GRID_POINTS = 10**6  # parse_grid rejects a grid of more points
-MAX_COLLISIONS = 10**6  # main rejects a longer run
+MAX_COLLISIONS = 10**6  # main rejects a longer run, _grid_or_ps more steps over all p
 _EPILOG = {
     "trajectory": (
         "Columns with one ancilla: n,coherence_A,coherence_env,negativity,"
@@ -163,12 +163,22 @@ def _window_or_none(args) -> tuple[int, int] | None:
 
 
 def _grid_or_ps(args) -> list[float] | None:
-    """The --p-grid points, else the --p values (None when neither is given)."""
+    """The --p-grid points, else the --p values (None when neither is given).
+
+    Their runs together may take no more collision steps than one trajectory.
+    """
     if args.p_grid is None:
-        return args.p
-    if args.p is not None:
+        ps = args.p
+    elif args.p is not None:
         raise ConfigError("give either --p or --p-grid, not both")
-    return parse_grid(args.p_grid)
+    else:
+        ps = parse_grid(args.p_grid)
+    if ps and len(ps) * args.collisions > MAX_COLLISIONS:
+        raise ConfigError(
+            f"{len(ps)} probabilities x --collisions {args.collisions} is more than "
+            f"{MAX_COLLISIONS} collision steps"
+        )
+    return ps
 
 
 def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
@@ -211,8 +221,9 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     }
     if args.ancillas > 1:
         header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
-    rows = [[n, *row] for n, row in enumerate(zip(*traj.columns.values()))]
-    report = backflow_events(traj.trace_distance_series(), tol=tol)
+    columns = {name: column.tolist() for name, column in traj.columns.items()}
+    rows = [[n, *row] for n, row in enumerate(zip(*columns.values()))]
+    report = backflow_events(columns["trace_distance"], tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
@@ -258,8 +269,9 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
-        rows += [[n, p, *row] for n, row in enumerate(zip(*traj.columns.values()))][start:stop]
-        report = backflow_events(traj.trace_distance_series(), tol=tol)
+        columns = {name: column.tolist() for name, column in traj.columns.items()}
+        rows += [[n, p, *row] for n, row in enumerate(zip(*columns.values()))][start:stop]
+        report = backflow_events(columns["trace_distance"], tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "
             f"(backflow_events = {len(report.events)}, backflow_tol = {_fmt(tol)})"

@@ -161,32 +161,16 @@ def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
 class Trajectory:
     """Per-collision metric columns and the final states of a run.
 
-    ``columns`` maps each recorded metric name, in print order, to its value
-    after each collision n = 0, 1, ... (n = 0 is the initial state).
+    ``columns`` maps each recorded metric name, in print order, to the 1-D
+    float array of its values after each collision n = 0, 1, ... (n = 0 is
+    the initial state); a name that was not recorded is a KeyError.
     ``final_registers`` holds the evolved density matrix of each tracked
     copy: the whole register for collision runs, the system qubit for
     fresh-ancilla runs.
     """
 
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray]
     final_registers: tuple
-
-    def _series(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise ValueError(f"{name} was not recorded for this trajectory")
-        return np.array(self.columns[name], dtype=float)
-
-    def coherence_series(self) -> np.ndarray:
-        return self._series("coherence_a")
-
-    def coherence_env_series(self) -> np.ndarray:
-        return self._series("coherence_env")
-
-    def negativity_series(self) -> np.ndarray:
-        return self._series("negativity")
-
-    def trace_distance_series(self) -> np.ndarray:
-        return self._series("trace_distance")
 
 
 def _system_states(systems) -> tuple[PureQubit, ...]:
@@ -221,19 +205,20 @@ def _record(states, names, window=None):
     """The named metric columns over ``(n, stack)`` pairs, and the last stack.
 
     A stack holds B copies at each of P grid points, (P, B, d, d). Each metric
-    is evaluated once per step over the grid axis; ``columns[name][k]`` lists
-    its values at grid point k. Only indices n in the half-open ``window``
-    (default: all) are evaluated, but the whole run is stepped and checked.
+    is evaluated once per step over the grid axis; ``columns[name]`` is the
+    (P, steps) float array of its values, one row per grid point. Only
+    indices n in the half-open ``window`` (default: all) are evaluated, but
+    the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
-    flat = {name: [] for name in names}  # step-major: grid point k's values are flat[name][k::P]
+    flat = {name: [] for name in names}  # step-major, P values per evaluated step
     evaluate = [(_METRICS[name], flat[name].extend) for name in names]
     for n, stack in states:
         if start <= n < stop:
             rho_as = _system_reductions(stack)
             for metric, extend in evaluate:
                 extend(metric(rho_as, stack))
-    return {name: [v[k::len(stack)] for k in range(len(stack))] for name, v in flat.items()}, stack
+    return {name: np.reshape(v, (-1, len(stack))).T for name, v in flat.items()}, stack
 
 
 def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
@@ -351,38 +336,29 @@ class OrbitDiagram:
     window: tuple[int, int]
 
 
-# The column that _record evaluates for each orbit metric.
-_ORBIT_FIELDS = {"coherence": "coherence_a", "trace_distance": "trace_distance",
-                 "negativity": "negativity"}
-
-
 def orbit_sweep(
     p_grid: Sequence[float],
     n_collisions: int = 100,
     window: tuple[int, int] | None = None,
     *,
-    metric: str = "coherence",
     ancilla: ThermalAncilla = DEFAULT_ANCILLA,
 ) -> OrbitDiagram:
     """Sweep the single-ancilla repeated-collision scenario over a p grid.
 
-    For each p the chosen metric series is recorded over ``window`` (a
-    half-open range of collision indices, by default the last 60, the tail
-    that ``detect_period`` classifies). One ``_evolve`` call steps the whole
-    grid as one stack, with memory bounded by a chunk of collisions, and the
-    recorder of ``run_trajectory`` computes only the requested metric, only
-    inside the window, once per step over the grid axis. So the values equal,
-    bit for bit, that run's series from SUPERPOSITION_PLUS (and
-    SUPERPOSITION_MINUS for the trace distance) at each p alone. Every
-    collision at every p, before the window too, is still checked, and a
-    violation names the first failing step, then the lowest failing p index.
+    For each p the coherence series of SUPERPOSITION_PLUS is recorded over
+    ``window`` (a half-open range of collision indices, by default the last
+    60, the tail that ``detect_period`` classifies). One ``_evolve`` call
+    steps the whole grid as one stack, with memory bounded by a chunk of
+    collisions, and the recorder of ``run_trajectory`` computes only the
+    coherence, only inside the window, once per step over the grid axis. So
+    the values equal, bit for bit, that run's ``coherence_a`` column at each
+    p alone. Every collision at every p, before the window too, is still
+    checked, and a violation names the first failing step, then the lowest
+    failing p index.
     """
     grid = tuple(float(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
-    if metric not in _ORBIT_FIELDS:
-        raise ValueError(f"unknown metric {metric!r}")
-    field = _ORBIT_FIELDS[metric]
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window
@@ -390,11 +366,9 @@ def orbit_sweep(
             and 0 <= start < stop <= n_collisions + 1):
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
     schedule = repeated_schedule(2, (0, 1), n_collisions)
-    states = (SUPERPOSITION_PLUS,)
-    if metric == "trace_distance":
-        states += (SUPERPOSITION_MINUS,)
-    initial = np.stack([composite_initial(s, (ancilla,)) for s in states])
-    rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
+    initial = composite_initial(SUPERPOSITION_PLUS, (ancilla,))
+    rhos = np.broadcast_to(initial, (len(grid), 1) + initial.shape)
     steps = _unitary_steps(schedule, grid)
-    columns, _ = _record(_evolve(rhos, schedule, grid, steps), [field], (start, stop))
-    return OrbitDiagram(p_grid=grid, values=tuple(map(tuple, columns[field])), window=(start, stop))
+    columns, _ = _record(_evolve(rhos, schedule, grid, steps), ["coherence_a"], (start, stop))
+    values = tuple(map(tuple, columns["coherence_a"].tolist()))
+    return OrbitDiagram(p_grid=grid, values=values, window=(start, stop))

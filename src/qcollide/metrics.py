@@ -37,7 +37,7 @@ def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
     the negative eigenvalues of the partial transpose; zero for product
     states.
     """
-    pt = qmat.partial_transpose(rho, dims, subsystem=0)
+    pt = qmat.partial_transpose(rho, dims)
     return _scalar_or_stack(np.fmax(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0))
 
 

@@ -17,10 +17,6 @@ from . import qmat
 
 NORMALIZATION_TOL = 1e-12
 
-# Largest inverse-temperature gap fed to exp(); beyond this the ancilla is
-# numerically in its ground state anyway.
-_BETA_GAP_CAP = 1e6
-
 
 @dataclass(frozen=True)
 class PureQubit:
@@ -72,18 +68,6 @@ def pure_qubit_density(q: PureQubit) -> np.ndarray:
 
 def thermal_density(t: ThermalAncilla) -> np.ndarray:
     return np.diag([t.w_g, t.w_e]).astype(complex)
-
-
-def thermal_from_beta(beta_gap: float) -> ThermalAncilla:
-    """Thermal weights from the dimensionless product of inverse temperature and gap.
-
-    w_g = 1 / (1 + exp(-beta_gap)); beta_gap = 0 gives the maximally mixed
-    ancilla and large values approach the pure ground state.
-    """
-    if beta_gap < 0:
-        raise ValueError(f"beta_gap must be non-negative, got {beta_gap}")
-    w_g = 1.0 / (1.0 + math.exp(-min(beta_gap, _BETA_GAP_CAP)))
-    return ThermalAncilla(w_g, 1.0 - w_g)
 
 
 def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> CollisionUnitary:

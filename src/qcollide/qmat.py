@@ -64,17 +64,14 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
     return t.reshape(d, d)
 
 
-def partial_transpose(rho: np.ndarray, dims: Sequence[int], subsystem: int = 0) -> np.ndarray:
-    """Transpose one factor of a bipartite square matrix or (..., d, d) stack, leaving the other."""
+def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Transpose the first factor of a bipartite square matrix or (..., d, d) stack."""
     a = _as_square(rho, "rho", stack=True)
     da, db = dims
     if da * db != a.shape[-1]:
         raise ValueError(f"dims {tuple(dims)} do not match matrix dim {a.shape[-1]}")
-    if subsystem not in (0, 1):
-        raise ValueError("subsystem must be 0 or 1")
     t = a.reshape(a.shape[:-2] + (da, db, da, db))
-    t = t.swapaxes(-4, -2) if subsystem == 0 else t.swapaxes(-3, -1)
-    return t.reshape(a.shape)
+    return t.swapaxes(-4, -2).reshape(a.shape)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def _clusters_match(series, targets, tol):
 
 def test_criterion_1_period_four_coherence_cycle():
     traj = _paired_run(0.5, 100)
-    series = traj.coherence_series()
+    series = traj.columns["coherence_a"]
     verdict = analysis.detect_period(series)
     ok = verdict.period == 4 and _clusters_match(series, THREE_LEVELS, 1e-8)
     _report(1, ok, f"coherence period {verdict.period} with clusters "
@@ -49,7 +49,7 @@ def test_criterion_1_period_four_coherence_cycle():
 
 def test_criterion_2_trace_distance_cycle_with_backflow():
     traj = _paired_run(0.5, 100)
-    series = traj.trace_distance_series()
+    series = traj.columns["trace_distance"]
     verdict = analysis.detect_period(series)
     report = metrics.backflow_events(series)
     ok = (
@@ -63,8 +63,8 @@ def test_criterion_2_trace_distance_cycle_with_backflow():
 
 def test_criterion_3_chaotic_regime_is_aperiodic():
     traj = _paired_run(0.8, 200)
-    coh = analysis.detect_period(traj.coherence_series(), window=60)
-    dist = analysis.detect_period(traj.trace_distance_series(), window=60)
+    coh = analysis.detect_period(traj.columns["coherence_a"], window=60)
+    dist = analysis.detect_period(traj.columns["trace_distance"], window=60)
     ok = coh.period is None and dist.period is None
     _report(3, ok, f"p=0.8 verdicts over last 60 of 200: coherence {coh.label}, "
                    f"distance {dist.label}")
@@ -98,9 +98,9 @@ def test_criterion_4_orbit_diagram_structure():
 
 def test_criterion_5_negativity_alternation():
     traj = _paired_run(0.5, 100)
-    neg = traj.negativity_series()
-    coh_a = traj.coherence_series()
-    coh_env = traj.coherence_env_series()
+    neg = traj.columns["negativity"]
+    coh_a = traj.columns["coherence_a"]
+    coh_env = traj.columns["coherence_env"]
     evens, odds = neg[0::2], neg[1::2]
     peak_ok = (
         np.all(evens < 1e-10)
@@ -124,7 +124,7 @@ def test_criterion_6_markovian_limit():
     finals = {}
     for p in ps:
         traj = dynamics.markovian_trajectory((PLUS, MINUS), p, ANC, 500)
-        series[p] = traj.trace_distance_series()
+        series[p] = traj.columns["trace_distance"]
         finals[p] = traj.final_registers[0]
     no_backflow = all(
         not metrics.backflow_events(series[p], tol=1e-12).events for p in ps
@@ -145,13 +145,13 @@ def test_criterion_6_markovian_limit():
 def test_criterion_7_environment_size_suppresses_backflow():
     n_steps, seeds = 100, range(50)
     single = _paired_run(0.5, n_steps)
-    mean_1 = float(np.mean(single.trace_distance_series()[1:]))
+    mean_1 = float(np.mean(single.columns["trace_distance"][1:]))
     means = {1: mean_1}
     for n_anc in (2, 3):
         per_seed = []
         for seed in seeds:
             traj = _paired_run(0.5, n_steps, n_ancillas=n_anc, seed=seed)
-            per_seed.append(float(np.mean(traj.trace_distance_series()[1:])))
+            per_seed.append(float(np.mean(traj.columns["trace_distance"][1:])))
         means[n_anc] = float(np.mean(per_seed))
     ok = means[1] > means[2] > means[3]
     _report(7, ok, "mean distance over steps 1-100, 50 schedules: "

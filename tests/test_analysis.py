@@ -11,7 +11,7 @@ def coherence_series(p, n_collisions):
     traj = dynamics.run_trajectory(
         dynamics.SUPERPOSITION_PLUS, dynamics.DEFAULT_ANCILLA, p, sched
     )
-    return traj.coherence_series()
+    return traj.columns["coherence_a"]
 
 
 class TestDetectPeriod:

@@ -223,19 +223,3 @@ class TestGridPoints:
         err = grid_violation(quiet(step - 1) + ((0, 2),) + quiet(4))
         assert (err.step, err.pair, err.p, err.copy) == (step, (0, 2), GRID[1], 1)
         assert str(err).startswith(f"step {step}, pair (0, 2), p = {GRID[1]!r}, copy 1: ")
-
-    def test_trace_distance_sweep_names_the_drifting_copy(self, monkeypatch):
-        # Only the copy prepared in |-> drifts, and only at the third grid
-        # point; the sweep names the same step, pair, p and copy as a sweep
-        # of that p alone.
-        grid = [0.5, 0.6, 0.7, 0.8]
-        minus_only = np.eye(4) + 1e-6 * np.kron(np.outer(KET_MINUS, KET_MINUS), np.eye(2))
-        corrupt(monkeypatch, {((0, 1), grid[2]): minus_only})
-        errors = []
-        for ps in (grid, grid[2:3]):
-            with pytest.raises(dynamics.InvariantViolationError) as info:
-                dynamics.orbit_sweep(ps, 100, metric="trace_distance")
-            errors.append(info.value)
-        swept, alone = errors
-        assert (swept.step, swept.pair, swept.p, swept.copy) == (1, (0, 1), grid[2], 1)
-        assert str(swept) == str(alone)

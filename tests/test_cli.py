@@ -405,3 +405,18 @@ class TestCollisionCap:
         assert "--collisions must be" in err
         assert "Traceback" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv,points", [
+        (["orbit", "--p-grid", "0.5:0.85:0.0005", "--collisions", "2000"], 701),
+        (["orbit", "--p-grid", "0:0.999999:0.000001", "--collisions", "100"], 1000000),
+        (["markovian", "--p-grid", "0.05:0.95:0.05", "--collisions", "100000"], 19),
+        (["markovian", "--p", "0.2", "--p", "0.4", "--collisions", "500001"], 2),
+    ])
+    def test_grid_over_the_cap_exits_two(self, tmp_path, capsys, argv, points):
+        # Each axis is within its own cap; their product of collision steps is not.
+        code, path = run(argv, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{points} probabilities x --collisions {argv[-1]}" in err
+        assert "Traceback" not in err
+        assert not path.exists()

@@ -160,22 +160,20 @@ class TestRunTrajectory:
     def test_paired_records_trace_distance(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 8)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
-        d = traj.trace_distance_series()
+        d = traj.columns["trace_distance"]
         expected = [abs(math.cos(n * math.pi / 4)) for n in range(9)]
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
     def test_single_run_has_no_trace_distance(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 3)
         traj = dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
-        with pytest.raises(ValueError, match="not recorded"):
-            traj.trace_distance_series()
+        assert "trace_distance" not in traj.columns
 
     def test_zero_p_freezes_all_metrics(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 6)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.0, sched)
-        for name in ("coherence_series", "coherence_env_series",
-                     "negativity_series", "trace_distance_series"):
-            series = getattr(traj, name)()
+        for name in ("coherence_a", "coherence_env", "negativity", "trace_distance"):
+            series = traj.columns[name]
             np.testing.assert_allclose(series, series[0], atol=1e-13)
 
     def test_matches_hand_rolled_evolution(self):
@@ -193,7 +191,7 @@ class TestRunTrajectory:
             rho = u @ rho @ u.conj().T
         sched = dynamics.repeated_schedule(2, (0, 1), steps)
         traj = dynamics.run_trajectory(PLUS, ANC, p, sched)
-        np.testing.assert_allclose(traj.coherence_series(), coherences[: steps + 1], atol=1e-12)
+        np.testing.assert_allclose(traj.columns["coherence_a"], coherences[: steps + 1], atol=1e-12)
         # rewind one extra conjugation applied in the loop above
         final = traj.final_registers[0]
         u_dag = u.conj().T
@@ -284,7 +282,7 @@ class TestMarkovian:
 
     def test_distance_decays_to_zero(self):
         traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, 60)
-        d = traj.trace_distance_series()
+        d = traj.columns["trace_distance"]
         assert np.all(np.diff(d) <= 1e-12)
         assert d[-1] < 1e-8
 
@@ -293,13 +291,13 @@ class TestMarkovian:
             p: dynamics.markovian_trajectory((PLUS, MINUS), p, ANC, 30)
             for p in (0.1, 0.2, 0.5, 0.7)
         }
-        series = {p: t.trace_distance_series() for p, t in trajs.items()}
+        series = {p: t.columns["trace_distance"] for p, t in trajs.items()}
         for n in range(1, 31):
             assert series[0.7][n] <= series[0.5][n] <= series[0.2][n] <= series[0.1][n]
 
     def test_zero_p_is_frozen(self):
         traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.0, ANC, 20)
-        np.testing.assert_allclose(traj.trace_distance_series(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(traj.columns["trace_distance"], 1.0, atol=1e-12)
 
     def test_thermalization(self):
         traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.3, ANC, 500)
@@ -319,14 +317,14 @@ class TestEnvironmentSize:
         single = dynamics.run_trajectory(
             (PLUS, MINUS), [ANC], p, dynamics.repeated_schedule(2, (0, 1), n_steps)
         )
-        mean_1 = float(np.mean(single.trace_distance_series()[1:]))
+        mean_1 = float(np.mean(single.columns["trace_distance"][1:]))
         means = {}
         for n_anc in (2, 3):
             totals = []
             for seed in seeds:
                 sched = dynamics.random_schedule(1 + n_anc, n_steps, seed=seed)
                 traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, p, sched)
-                totals.append(float(np.mean(traj.trace_distance_series()[1:])))
+                totals.append(float(np.mean(traj.columns["trace_distance"][1:])))
             means[n_anc] = float(np.mean(totals))
         assert mean_1 > means[2] > means[3]
 
@@ -353,14 +351,6 @@ class TestOrbitSweep:
         assert diagram.p_grid == (0.8, 0.5)
         assert len(diagram.values) == 2
 
-    def test_trace_distance_metric_matches_coherence_here(self):
-        # For this preparation the distinguishability and coherence series
-        # coincide, a strong cross-check of the paired bookkeeping.
-        coh = dynamics.orbit_sweep([0.62], n_collisions=60, window=(0, 61))
-        dist = dynamics.orbit_sweep([0.62], n_collisions=60, window=(0, 61),
-                                    metric="trace_distance")
-        np.testing.assert_allclose(coh.values[0], dist.values[0], atol=1e-10)
-
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             dynamics.orbit_sweep([])
@@ -375,15 +365,15 @@ class TestOrbitSweep:
         with pytest.raises(ValueError, match="window"):
             dynamics.orbit_sweep([0.5], 100, window)
 
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            dynamics.orbit_sweep([0.5], metric="purity")
-
 
 def assert_columns(traj, fields, n_rows):
-    """``columns`` holds exactly ``fields`` in order, each with one value per collision index."""
+    """``columns`` holds exactly ``fields`` in order, each a 1-D float64 array with one
+    value per collision index."""
     assert list(traj.columns) == fields
-    assert all(len(column) == n_rows for column in traj.columns.values())
+    for column in traj.columns.values():
+        assert isinstance(column, np.ndarray)
+        assert column.dtype == np.float64
+        assert column.shape == (n_rows,)
 
 
 def printed_columns(capsys, argv):

@@ -82,26 +82,6 @@ class TestThermalAncilla:
         assert caught[0].filename == __file__
 
 
-class TestThermalFromBeta:
-    def test_ln4_gives_four_to_one(self):
-        anc = model.thermal_from_beta(math.log(4))
-        assert anc.w_g == pytest.approx(0.8, abs=1e-15)
-        assert anc.w_e == pytest.approx(0.2, abs=1e-15)
-
-    def test_zero_is_maximally_mixed(self):
-        anc = model.thermal_from_beta(0.0)
-        assert anc.w_g == pytest.approx(0.5)
-
-    def test_infinite_is_ground(self):
-        anc = model.thermal_from_beta(math.inf)
-        assert anc.w_g == pytest.approx(1.0, abs=1e-12)
-        assert anc.w_e == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            model.thermal_from_beta(-0.1)
-
-
 class TestPairCollisionUnitary:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_two_qubit_literal_matrix(self, p):

@@ -1,5 +1,5 @@
-"""The orbit sweep: windowed values equal the full trajectory's, only the
-requested metric is computed, and every collision is still checked."""
+"""The orbit sweep: windowed values equal the full trajectory's coherence,
+no other metric is computed, and every collision is still checked."""
 
 import dataclasses
 
@@ -9,33 +9,25 @@ import pytest
 from qcollide import cli, dynamics, metrics
 
 PLUS = dynamics.SUPERPOSITION_PLUS
-MINUS = dynamics.SUPERPOSITION_MINUS
 ANC = dynamics.DEFAULT_ANCILLA
 N = 100
 GRID = [0.5 + 0.005 * k for k in range(71)]
 
 
-def windowed_trajectory_series(p, metric, window):
-    systems = (PLUS, MINUS) if metric == "trace_distance" else PLUS
-    traj = dynamics.run_trajectory(systems, ANC, p, dynamics.repeated_schedule(2, (0, 1), N))
-    series = {
-        "coherence": traj.coherence_series,
-        "trace_distance": traj.trace_distance_series,
-        "negativity": traj.negativity_series,
-    }[metric]()
-    return tuple(float(x) for x in series[window[0]:window[1]])
+def windowed_trajectory_series(p, window):
+    traj = dynamics.run_trajectory(PLUS, ANC, p, dynamics.repeated_schedule(2, (0, 1), N))
+    return tuple(float(x) for x in traj.columns["coherence_a"][window[0]:window[1]])
 
 
 class TestMatchesTrajectory:
-    @pytest.mark.parametrize("metric", ["coherence", "trace_distance", "negativity"])
+    # The orbit records the coherence only.
+    @pytest.mark.parametrize("metric", ["coherence"])
     @pytest.mark.parametrize("window", [(0, N + 1), (41, 101)])
     @pytest.mark.parametrize("grid", [(0.62,), (0.5, 0.75, 0.8)])
     def test_values_equal_windowed_trajectory(self, metric, window, grid):
-        diagram = dynamics.orbit_sweep(grid, N, window, metric=metric)
+        diagram = dynamics.orbit_sweep(grid, N, window)
         assert diagram.window == window
-        assert diagram.values == tuple(
-            windowed_trajectory_series(p, metric, window) for p in grid
-        )
+        assert diagram.values == tuple(windowed_trajectory_series(p, window) for p in grid)
 
 
 class TestClosedForm:

@@ -94,7 +94,7 @@ STACK_AWARE = {
     "negativity": (lambda r, s, dims: metrics.negativity(r, dims), True),
     "trace_norm_hermitian": (lambda r, s, dims: qmat.trace_norm_hermitian(r - s), True),
     "hermitian_eigenvalues": (lambda r, s, dims: qmat.hermitian_eigenvalues(r - s), False),
-    "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims, subsystem=1), False),
+    "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims), False),
     "markovian_step": (
         lambda r, s, dims: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8, 0.2)), False
     ),

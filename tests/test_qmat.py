@@ -140,12 +140,6 @@ class TestPartialTranspose:
         twice = qmat.partial_transpose(qmat.partial_transpose(rho, [2, 4]), [2, 4])
         np.testing.assert_array_equal(twice, rho)
 
-    def test_second_subsystem(self):
-        rng = np.random.default_rng(19)
-        a, b = random_density(rng, 2), random_density(rng, 2)
-        out = qmat.partial_transpose(qmat.kron(a, b), [2, 2], subsystem=1)
-        np.testing.assert_allclose(out, qmat.kron(a, b.T), atol=1e-15)
-
     def test_bell_minimum_eigenvalue(self):
         pt = qmat.partial_transpose(bell_projector(), [2, 2])
         oracle = charpoly_eigenvalues(pt)

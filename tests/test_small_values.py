@@ -21,7 +21,7 @@ def test_markovian_trace_distance_matches_closed_form_down_to_1e_300():
         traj = dynamics.markovian_trajectory(
             (dynamics.SUPERPOSITION_PLUS, dynamics.SUPERPOSITION_MINUS), p, ANC, N_COLLISIONS
         )
-        got = np.asarray(traj.trace_distance_series())
+        got = np.asarray(traj.columns["trace_distance"])
         exact = (1.0 - p) ** (n / 2)
         resolved = exact >= 1e-300
         np.testing.assert_allclose(got[resolved], exact[resolved], rtol=1e-12, atol=0.0)
