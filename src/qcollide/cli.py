@@ -11,6 +11,7 @@ import json
 import math
 import secrets
 import sys
+from itertools import chain, repeat
 
 from . import __version__
 from .dynamics import (
@@ -28,6 +29,9 @@ from .model import ThermalAncilla
 
 MAX_GRID_POINTS = 10**6  # parse_grid rejects a grid of more points
 MAX_COLLISIONS = 10**6  # main rejects a longer run, _grid_or_ps more steps over all p
+# A command returns its rows as blocks, one cell per column: a range is an
+# integer column, a number a constant column, any other sequence a float column.
+_CONSTANT = (int, float)
 _EPILOG = {
     "trajectory": (
         "Columns with one ancilla: n,coherence_A,coherence_env,negativity,"
@@ -50,8 +54,8 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive ascending grid."""
+def _grid_span(spec: str) -> tuple[float, float, int]:
+    """(start, step, point count) of a 'start:stop:step' grid, checked but not built."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must look like start:stop:step, got {spec!r}")
@@ -69,7 +73,13 @@ def parse_grid(spec: str) -> list[float]:
     count = (stop - start) / step + 1e-9
     if not count < MAX_GRID_POINTS:
         raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [start + k * step for k in range(int(count) + 1)]
+    return start, step, int(count) + 1
+
+
+def parse_grid(spec: str) -> list[float]:
+    """Parse 'start:stop:step' into an inclusive ascending grid."""
+    start, step, count = _grid_span(spec)
+    return [start + k * step for k in range(count)]
 
 
 def parse_window(spec: str) -> tuple[int, int]:
@@ -165,23 +175,21 @@ def _window_or_none(args) -> tuple[int, int] | None:
 def _grid_or_ps(args) -> list[float] | None:
     """The --p-grid points, else the --p values (None when neither is given).
 
-    Their runs together may take no more collision steps than one trajectory.
+    Their runs together may take no more collision steps than one trajectory;
+    a grid is counted before it is built.
     """
-    if args.p_grid is None:
-        ps = args.p
-    elif args.p is not None:
+    if args.p_grid is not None and args.p is not None:
         raise ConfigError("give either --p or --p-grid, not both")
-    else:
-        ps = parse_grid(args.p_grid)
-    if ps and len(ps) * args.collisions > MAX_COLLISIONS:
+    count = len(args.p or ()) if args.p_grid is None else _grid_span(args.p_grid)[2]
+    if count * args.collisions > MAX_COLLISIONS:
         raise ConfigError(
-            f"{len(ps)} probabilities x --collisions {args.collisions} is more than "
+            f"{count} probabilities x --collisions {args.collisions} is more than "
             f"{MAX_COLLISIONS} collision steps"
         )
-    return ps
+    return args.p if args.p_grid is None else parse_grid(args.p_grid)
 
 
-def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
+def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     if args.p is None or len(args.p) != 1:
         raise ConfigError("this command needs exactly one --p value")
     p = args.p[0]
@@ -189,7 +197,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
         raise ConfigError(f"--ancillas must be 1..3, got {args.ancillas}")
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
-    start, stop = _window_or_none(args) or (0, None)
+    window = slice(*(_window_or_none(args) or (0, None)))
     n_qubits = 1 + args.ancillas
     if args.ancillas == 1:
         if args.seed is not None or args.restrict_system_ancilla:
@@ -222,17 +230,17 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[list], list[str]]:
     if args.ancillas > 1:
         header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
     columns = {name: column.tolist() for name, column in traj.columns.items()}
-    rows = [[n, *row] for n, row in enumerate(zip(*columns.values()))]
+    block = (range(args.collisions + 1)[window], *(cells[window] for cells in columns.values()))
     report = backflow_events(columns["trace_distance"], tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
         f"(backflow_tol = {_fmt(tol)})"
     ]
-    return header, ["n", "coherence_A", *list(traj.columns)[1:]], rows[start:stop], footer
+    return header, ["n", "coherence_A", *list(traj.columns)[1:]], [block], footer
 
 
-def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
+def _cmd_orbit(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     grid = _grid_or_ps(args)
     if args.p_grid is None and (grid is None or len(grid) != 1):
         raise ConfigError("orbit needs --p-grid or a single --p")
@@ -251,26 +259,26 @@ def _cmd_orbit(args) -> tuple[dict, list[str], list[list], list[str]]:
         header["p_grid"] = args.p_grid
     else:
         header["p"] = grid[0]
-    rows = [[p, v] for p, vals in zip(diagram.p_grid, diagram.values) for v in vals]
-    return header, ["p", "value"], rows, []
+    return header, ["p", "value"], list(zip(diagram.p_grid, diagram.values)), []
 
 
-def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
+def _cmd_markovian(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     ps = _grid_or_ps(args)
     if not ps:
         raise ConfigError("markovian needs one or more --p values or --p-grid")
     ps = sorted(ps)
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
-    start, stop = _window_or_none(args) or (0, None)
-    rows = []
+    window = slice(*(_window_or_none(args) or (0, None)))
+    blocks = []
     footer = []
     for p in ps:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
         columns = {name: column.tolist() for name, column in traj.columns.items()}
-        rows += [[n, p, *row] for n, row in enumerate(zip(*columns.values()))][start:stop]
+        blocks.append((range(args.collisions + 1)[window], p,
+                       *(cells[window] for cells in columns.values())))
         report = backflow_events(columns["trace_distance"], tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "
@@ -286,52 +294,36 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[list], list[str]]:
         "format": args.format,
         "backflow_tol": tol,
     }
-    return header, ["n", "p", "trace_distance", "coherence"], rows, footer
+    return header, ["n", "p", "trace_distance", "coherence"], blocks, footer
 
 
-def render_csv(header: dict, columns: list[str], rows: list[list], footer: list[str]) -> str:
-    lines = [f"# {key} = {_fmt(value)}" for key, value in header.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    lines.extend(f"# {text}" for text in footer)
-    return "\n".join(lines) + "\n"
+def _csv_block(block: tuple) -> str:
+    """The CSV rows of one block, formatted by one '%' call."""
+    template = ",".join(
+        "%d" if isinstance(cell, range) else _fmt(cell) if isinstance(cell, _CONSTANT)
+        else "%.17g" for cell in block
+    ) + "\n"
+    series = [cell for cell in block if not isinstance(cell, _CONSTANT)]
+    return template * len(series[0]) % tuple(chain.from_iterable(zip(*series)))
 
 
-def render_json(header: dict, columns: list[str], rows: list[list], footer: list[str]) -> str:
-    doc = {
-        "config": dict(header),
-        "rows": [dict(zip(columns, row)) for row in rows],
-    }
+def render_csv(header: dict, columns: list[str], blocks: list[tuple], footer: list[str]) -> str:
+    lines = [f"# {key} = {_fmt(value)}\n" for key, value in header.items()]
+    lines.append(",".join(columns) + "\n")
+    lines.extend(map(_csv_block, blocks))
+    lines.extend(f"# {text}\n" for text in footer)
+    return "".join(lines)
+
+
+def render_json(header: dict, columns: list[str], blocks: list[tuple], footer: list[str]) -> str:
+    rows = chain.from_iterable(
+        zip(*(repeat(cell) if isinstance(cell, _CONSTANT) else cell for cell in block))
+        for block in blocks
+    )
+    doc = {"config": dict(header), "rows": [dict(zip(columns, row)) for row in rows]}
     if footer:
         doc["notes"] = footer
     return json.dumps(doc, indent=2) + "\n"
-
-
-def read_csv_output(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse an emitted CSV file back into (header dict, columns, data rows).
-
-    Only comments above the column row are configuration; comments after the
-    data are footer notes and are skipped.
-    """
-    header: dict[str, str] = {}
-    columns: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not columns and " = " in line:
-                    key, _, value = line[1:].partition(" = ")
-                    header[key.strip()] = value.strip()
-                continue
-            if not columns:
-                columns = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return header, columns, rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -343,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.collisions <= MAX_COLLISIONS:
             raise ConfigError(f"--collisions must be 1..{MAX_COLLISIONS}, got {args.collisions}")
-        header, columns, rows, footer = args.run(args)
+        header, columns, blocks, footer = args.run(args)
     except InvariantViolationError as exc:
         print(f"qcollide: numerical invariant violated: {exc}", file=sys.stderr)
         return 4
@@ -351,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qcollide: {exc}", file=sys.stderr)
         return 2
     render = render_csv if args.format == "csv" else render_json
-    text = render(header, columns, rows, footer)
+    text = render(header, columns, blocks, footer)
     try:
         if args.out is None:
             sys.stdout.write(text)

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from csv_output import read_csv_output
 from qcollide import cli
 
 HALF = 1 / math.sqrt(2)
@@ -69,7 +71,7 @@ class TestTrajectoryCommand:
             ["trajectory", "--p", "0.5", "--collisions", "100"], tmp_path
         )
         assert code == 0
-        header, columns, rows = cli.read_csv_output(str(path))
+        header, columns, rows = read_csv_output(str(path))
         assert columns == ["n", "coherence_A", "coherence_env", "negativity", "trace_distance"]
         assert header["scenario"] == "single"
         assert header["seed"] == "none"
@@ -86,7 +88,7 @@ class TestTrajectoryCommand:
             tmp_path,
         )
         assert code == 0
-        header, columns, rows = cli.read_csv_output(str(path))
+        header, columns, rows = read_csv_output(str(path))
         assert columns == ["n", "coherence_A", "trace_distance"]
         assert header["scenario"] == "multi"
         assert header["seed"] == "11"
@@ -105,7 +107,7 @@ class TestTrajectoryCommand:
         argv = ["trajectory", "--p", "0.62", "--ancillas", "2", "--seed", "5",
                 "--collisions", "30"]
         _, path_a = run(argv, tmp_path, "a.csv")
-        header, _, rows_a = cli.read_csv_output(str(path_a))
+        header, _, rows_a = read_csv_output(str(path_a))
         rebuilt = [
             header["command"],
             "--p", header["p"],
@@ -116,7 +118,7 @@ class TestTrajectoryCommand:
             "--format", header["format"],
         ]
         _, path_b = run(rebuilt, tmp_path, "b.csv")
-        _, _, rows_b = cli.read_csv_output(str(path_b))
+        _, _, rows_b = read_csv_output(str(path_b))
         assert rows_a == rows_b
 
     def test_unseeded_multi_echoes_replayable_seed(self, tmp_path):
@@ -124,14 +126,14 @@ class TestTrajectoryCommand:
             ["trajectory", "--p", "0.5", "--ancillas", "2", "--collisions", "10"],
             tmp_path, "a.csv",
         )
-        header, _, rows_a = cli.read_csv_output(str(path_a))
+        header, _, rows_a = read_csv_output(str(path_a))
         assert header["seed"] != "none"
         _, path_b = run(
             ["trajectory", "--p", "0.5", "--ancillas", "2", "--collisions", "10",
              "--seed", header["seed"]],
             tmp_path, "b.csv",
         )
-        _, _, rows_b = cli.read_csv_output(str(path_b))
+        _, _, rows_b = read_csv_output(str(path_b))
         assert rows_a == rows_b
 
     def test_window_filters_rows(self, tmp_path):
@@ -139,7 +141,7 @@ class TestTrajectoryCommand:
             ["trajectory", "--p", "0.5", "--collisions", "30", "--window", "10:20"],
             tmp_path,
         )
-        _, columns, rows = cli.read_csv_output(str(path))
+        _, columns, rows = read_csv_output(str(path))
         ns = column(rows, columns, "n", cast=int)
         assert ns == list(range(10, 20))
 
@@ -149,7 +151,7 @@ class TestTrajectoryCommand:
              "--collisions", "40", "--restrict-system-ancilla"],
             tmp_path,
         )
-        header, _, _ = cli.read_csv_output(str(path))
+        header, _, _ = read_csv_output(str(path))
         assert all(ev.startswith("0-") for ev in header["schedule"].split())
 
     def test_backflow_footer_present(self, tmp_path):
@@ -178,7 +180,7 @@ class TestOrbitCommand:
             ["orbit", "--p", "0.5", "--collisions", "100"], tmp_path
         )
         assert code == 0
-        header, columns, rows = cli.read_csv_output(str(path))
+        header, columns, rows = read_csv_output(str(path))
         assert columns == ["p", "value"]
         assert header["window"] == "41:101"
         values = column(rows, columns, "value")
@@ -191,7 +193,7 @@ class TestOrbitCommand:
             ["orbit", "--p-grid", "0.5:0.55:0.05", "--collisions", "40"], tmp_path
         )
         assert code == 0
-        header, columns, rows = cli.read_csv_output(str(path))
+        header, columns, rows = read_csv_output(str(path))
         ps = column(rows, columns, "p")
         assert ps == sorted(ps)
         assert header["p_grid"] == "0.5:0.55:0.05"
@@ -236,7 +238,7 @@ class TestMarkovianCommand:
             tmp_path,
         )
         assert code == 0
-        header, columns, rows = cli.read_csv_output(str(path))
+        header, columns, rows = read_csv_output(str(path))
         assert columns == ["n", "p", "trace_distance", "coherence"]
         ps = column(rows, columns, "p")
         assert ps == sorted(ps)
@@ -255,7 +257,7 @@ class TestMarkovianCommand:
 
     def test_zero_p_constant_distance(self, tmp_path):
         _, path = run(["markovian", "--p", "0", "--collisions", "10"], tmp_path)
-        _, columns, rows = cli.read_csv_output(str(path))
+        _, columns, rows = read_csv_output(str(path))
         assert all(float(r[2]) == pytest.approx(1.0, abs=1e-12) for r in rows)
 
     def test_requires_probability(self, tmp_path):
@@ -290,7 +292,7 @@ class TestWindowRange:
     def test_window_through_last_collision_is_accepted(self, tmp_path, command):
         code, path = run(command + ["--collisions", "10", "--window", "0:11"], tmp_path)
         assert code == 0
-        _, _, rows = cli.read_csv_output(str(path))
+        _, _, rows = read_csv_output(str(path))
         assert len(rows) == 11
 
 
@@ -342,7 +344,7 @@ class TestOutputPlumbing:
 
     def test_seventeen_significant_digits(self, tmp_path):
         _, path = run(["trajectory", "--p", "0.5", "--collisions", "4"], tmp_path)
-        _, columns, rows = cli.read_csv_output(str(path))
+        _, columns, rows = read_csv_output(str(path))
         value = rows[1][columns.index("coherence_A")]
         # 17 significant digits round-trip float64 exactly.
         assert value == f"{float(value):.17g}"
@@ -420,3 +422,15 @@ class TestCollisionCap:
         assert f"{points} probabilities x --collisions {argv[-1]}" in err
         assert "Traceback" not in err
         assert not path.exists()
+
+    def test_grid_is_rejected_before_it_is_built(self, capsys):
+        # A million-point grid as a list of floats alone takes over 30 MB.
+        tracemalloc.start()
+        try:
+            code = cli.main(["orbit", "--p-grid", "0:0.999999:0.000001", "--collisions", "100"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "1000000 probabilities x --collisions 100" in capsys.readouterr().err
+        assert peak < 5 * 2**20

@@ -8,6 +8,7 @@ must be resolved to relative precision, not truncated to an absolute floor.
 import numpy as np
 import pytest
 
+from csv_output import read_csv_output
 from qcollide import cli, dynamics, model, qmat
 
 ANC = model.ThermalAncilla(0.8, 0.2)
@@ -43,7 +44,7 @@ def test_markovian_cli_coherence_matches_closed_form_down_to_1e_300(tmp_path):
     code = cli.main(["markovian", "--p-grid", "0.05:0.95:0.05",
                      "--collisions", str(N_COLLISIONS), "--out", str(path)])
     assert code == 0
-    _, columns, rows = cli.read_csv_output(str(path))
+    _, columns, rows = read_csv_output(str(path))
     n = np.array([float(r[columns.index("n")]) for r in rows])
     p = np.array([float(r[columns.index("p")]) for r in rows])
     got = np.array([float(r[columns.index("coherence")]) for r in rows])
