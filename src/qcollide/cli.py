@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -147,9 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _backflow_tol(args) -> float:
-    if not math.isfinite(args.backflow_tol):
-        raise ConfigError(f"--backflow-tol must be finite, got {args.backflow_tol}")
+    if not (math.isfinite(args.backflow_tol) and args.backflow_tol >= 0):
+        raise ConfigError(f"--backflow-tol must be finite and >= 0, got {args.backflow_tol}")
     return args.backflow_tol
 
 
@@ -327,9 +333,8 @@ def render_json(header: dict, columns: list[str], blocks: list[tuple], footer: l
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

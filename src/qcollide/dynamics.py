@@ -113,36 +113,47 @@ def _factorises(a: np.ndarray) -> bool:
     return True
 
 
-def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
+def _first_violation(rhos: np.ndarray, scratch) -> tuple[int, str] | None:
     """Index of the first matrix in an (N, d, d) stack that broke an invariant, and why.
 
-    Trace and Hermiticity are tested on the whole stack at once. Positivity is
-    one batched Cholesky factorisation of rho + POSITIVITY_FLOOR * I, which
-    succeeds exactly when no eigenvalue lies below -POSITIVITY_FLOOR (to about
-    1e-15, by Cholesky's backward stability). The comparisons count NaN as
-    drift. Matrices are examined one by one, and an eigenvalue is computed,
-    only to report a failure.
+    ``scratch`` is a complex and a float array of at least N (d, d) matrices,
+    written over. The stack's largest trace and Hermiticity deviations are
+    held to their bounds, and positivity is one batched Cholesky factorisation of
+    rho + POSITIVITY_FLOOR * I, which succeeds exactly when no eigenvalue lies
+    below -POSITIVITY_FLOOR (to about 1e-15, by Cholesky's backward
+    stability). NaN counts as drift. Matrices are examined one by one, and an
+    eigenvalue is computed, only to report a failure.
     """
-    shifted = rhos + POSITIVITY_FLOOR * np.eye(rhos.shape[-1])
-    trace_ok = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) < TRACE_TOL
-    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
-    herm_ok = herm_dev < qmat.HERMITICITY_TOL
-    if trace_ok.all() and herm_ok.all() and _factorises(shifted):
+    work, mags = (a[:len(rhos)] for a in scratch)
+    trace_dev = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    np.subtract(rhos, np.conjugate(rhos.swapaxes(1, 2), out=work), out=work)
+    if (trace_dev.max() < TRACE_TOL and np.abs(work, out=mags).max() < qmat.HERMITICITY_TOL
+            and _factorises(np.add(rhos, POSITIVITY_FLOOR * np.eye(rhos.shape[-1]), out=work))):
         return None
+    herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2))
     for k, rho in enumerate(rhos):
-        if not trace_ok[k]:
+        if not trace_dev[k] < TRACE_TOL:
             return k, f"trace drifted to {complex(np.trace(rho))!r}"
-        if not herm_ok[k]:
+        if not herm_dev[k] < qmat.HERMITICITY_TOL:
             return k, f"Hermiticity deviation {herm_dev[k]:.3e}"
-        if not _factorises(shifted[k]):
+        if not _factorises(rho + POSITIVITY_FLOOR * np.eye(len(rho))):
             lam = np.linalg.eigvalsh(rho)[0]
             return k, f"negative eigenvalue {lam:.3e} below floor"
     return None
 
 
+def _register_qubits(rho: np.ndarray) -> int:
+    n_qubits = (rho.shape[0] if rho.ndim == 2 else 0).bit_length() - 1
+    if rho.shape != (2 ** n_qubits, 2 ** n_qubits):
+        raise ValueError(f"register must be a (2**n, 2**n) matrix, got shape {rho.shape}")
+    return n_qubits
+
+
 def check_register(rho: np.ndarray) -> None:
     """Raise InvariantViolationError when a register's density matrix drifted out of bounds."""
-    violation = _first_violation(np.asarray(rho, dtype=complex)[np.newaxis])
+    stack = np.asarray(rho, dtype=complex)[np.newaxis]
+    _register_qubits(stack[0])
+    violation = _first_violation(stack, (np.empty_like(stack), np.empty(stack.shape)))
     if violation is not None:
         raise InvariantViolationError(violation[1])
 
@@ -150,10 +161,7 @@ def check_register(rho: np.ndarray) -> None:
 def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
     """Apply one pairwise collision to the (2**n, 2**n) density matrix of an n-qubit register."""
     rho = np.asarray(rho)
-    n_qubits = (rho.shape[0] if rho.ndim == 2 else 0).bit_length() - 1
-    if rho.shape != (2 ** n_qubits, 2 ** n_qubits):
-        raise ValueError(f"register must be a (2**n, 2**n) matrix, got shape {rho.shape}")
-    u = pair_collision_unitary(n_qubits, pair, p).matrix
+    u = pair_collision_unitary(_register_qubits(rho), pair, p).matrix
     return u @ rho @ u.conj().T
 
 
@@ -201,24 +209,24 @@ _METRICS = {
 }
 
 
-def _record(states, names, window=None):
-    """The named metric columns over ``(n, stack)`` pairs, and the last stack.
+def _record(chunks, names, window=None):
+    """The named metric columns over ``(first_n, chunk)`` pairs, and the last stack.
 
-    A stack holds B copies at each of P grid points, (P, B, d, d). Each metric
-    is evaluated once per step over the grid axis; ``columns[name]`` is the
-    (P, steps) float array of its values, one row per grid point. Only
-    indices n in the half-open ``window`` (default: all) are evaluated, but
-    the whole run is stepped and checked.
+    A chunk holds the (P, B, d, d) stacks, B copies at P grid points, after
+    steps first_n, first_n + 1, ... Reductions are taken once per chunk and
+    each metric once per step over the grid axis; ``columns[name]`` is the
+    (P, steps) float array of its values. Only indices n in the half-open
+    ``window`` (default: all) are evaluated; the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
     flat = {name: [] for name in names}  # step-major, P values per evaluated step
     evaluate = [(_METRICS[name], flat[name].extend) for name in names]
-    for n, stack in states:
-        if start <= n < stop:
-            rho_as = _system_reductions(stack)
+    for first, chunk in chunks:
+        part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
+        for rho_as, stack in zip(_system_reductions(part), part):
             for metric, extend in evaluate:
                 extend(metric(rho_as, stack))
-    return {name: np.reshape(v, (-1, len(stack))).T for name, v in flat.items()}, stack
+    return {name: np.reshape(v, (-1, chunk.shape[1])).T for name, v in flat.items()}, chunk[-1]
 
 
 def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
@@ -235,17 +243,19 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
     """Step B copies at each grid point k, with probability ps[k], through ``schedule``.
 
     ``rhos`` is their (P, B, d, d) stack, and ``steps[pair]`` maps the stack
-    to its state after one collision of that pair. Yields ``(0, rhos)`` first
-    and then ``(n, rhos)`` after the n-th collision. The steps run in chunks
-    of about CHECK_CHUNK_ENTRIES state entries, which bound the memory, and
-    each chunk's states are checked by one stacked ``_first_violation`` call,
-    which covers every grid point and copy after every collision, before any
-    of them is yielded. It scans a failed chunk in (step, grid point, copy)
-    order: a violation names the first failing step, its pair, and then the
-    lowest failing grid index (its p) and copy.
+    to its state after one collision of that pair. Yields ``(first_n, states)``
+    chunks: ``(0, rhos[np.newaxis])``, then the fresh stacks after collisions
+    first_n, first_n + 1, ... in chunks of about CHECK_CHUNK_ENTRIES entries,
+    which bound the memory. One stacked ``_first_violation`` call, in scratch
+    reused across chunks, checks each chunk at every grid point and copy after
+    every collision before it is yielded. It scans a failed chunk in (step,
+    grid point, copy) order: a violation names the first failing step, its
+    pair, and then the lowest failing grid index (its p) and copy.
     """
-    yield 0, rhos
+    yield 0, rhos[np.newaxis]
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
+    shape = (min(chunk, len(schedule)) * rhos[..., 0, 0].size,) + rhos.shape[-2:]
+    scratch = np.empty(shape, dtype=complex), np.empty(shape)
     for first in range(0, len(schedule), chunk):
         block = schedule.events[first:first + chunk]
         states = np.empty((len(block),) + rhos.shape, dtype=complex)
@@ -254,7 +264,7 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (i, j) in enumerate(block):
                 rhos = states[k] = steps[i, j](rhos)
-            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
+            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]), scratch)
         if violation is not None:
             step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
             (i, j), n, p = block[step], first + 1 + step, float(ps[point])
@@ -262,7 +272,7 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
                 f"step {n}, pair ({i}, {j}), p = {p!r}, copy {copy}: {violation[1]}",
                 step=n, pair=(i, j), p=p, copy=copy,
             )
-        yield from enumerate(states, start=first + 1)
+        yield first + 1, states
 
 
 def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:

@@ -40,24 +40,42 @@ def corrupt(monkeypatch, factors):
     monkeypatch.setattr(dynamics, "pair_collision_unitary", patched)
 
 
-def drift(ket, size=1e-6):
-    """Identity plus ``size`` times |ket><ket| on the system qubit of three."""
-    return np.eye(8) + size * np.kron(np.outer(ket, ket), np.eye(4))
+def drift(ket, size=1e-6, n_qubits=3):
+    """Identity plus ``size`` times |ket><ket| on the system qubit of n_qubits."""
+    rest = 2 ** (n_qubits - 1)
+    return np.eye(2 * rest) + size * np.kron(np.outer(ket, ket), np.eye(rest))
 
 
-def quiet(n):
+def quiet(n, n_qubits=3):
     """n ancilla-ancilla collisions, which leave each copy's system state alone."""
-    return dynamics.repeated_schedule(3, (1, 2), n).events if n else ()
+    return dynamics.repeated_schedule(n_qubits, (1, 2), n).events if n else ()
 
 
-def violation(events, p=0.5):
+def violation(events, p=0.5, ancillas=2):
+    schedule = dynamics.Schedule(1 + ancillas, tuple(events))
     with pytest.raises(dynamics.InvariantViolationError) as info:
-        dynamics.run_trajectory(PAIR, [ANC, ANC], p, dynamics.Schedule(3, tuple(events)))
+        dynamics.run_trajectory(PAIR, [ANC] * ancillas, p, schedule)
     return info.value
+
+
+# The ensemble3 benchmark shape: a pair of 16x16 registers (three ancillas)
+# over 100 collisions, checked in chunks of 16 steps and a last chunk of 4.
+ENSEMBLE_CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (2 * 16 * 16)
+# (ancillas, step, run length) of each drift. The two-ancilla cases keep
+# their "step-length" ids.
+DRIFTS = [
+    (2, 1, 2),                            # the first step of the run
+    (2, CHUNK, CHUNK + 1),                # the last step of the first chunk
+    (2, CHUNK + 1, CHUNK + 2),            # the first step of the second chunk
+    (2, 3 * CHUNK + 11, 3 * CHUNK + 12),  # inside the last, partial chunk
+    (3, 97, 100),                         # the first step of the short last chunk
+    (3, 100, 100),                        # the last step of the run
+]
 
 
 def test_chunk_holds_several_steps():
     assert CHUNK >= 8
+    assert (ENSEMBLE_CHUNK, 100 % ENSEMBLE_CHUNK) == (16, 4)
 
 
 class TestOneCopyDrift:
@@ -65,19 +83,27 @@ class TestOneCopyDrift:
     # the first (0, 2) collision raises the trace of the copy prepared in
     # |ket> and leaves the other copy exactly as it was.
     @pytest.mark.parametrize("copy,ket", [(0, KET_PLUS), (1, KET_MINUS)])
-    @pytest.mark.parametrize("step,length", [
-        (1, 2),                            # the first step of the run
-        (CHUNK, CHUNK + 1),                # the last step of the first chunk
-        (CHUNK + 1, CHUNK + 2),            # the first step of the second chunk
-        (3 * CHUNK + 11, 3 * CHUNK + 12),  # inside the last, partial chunk
-    ])
-    def test_drift_is_named_at_its_step(self, monkeypatch, copy, ket, step, length):
-        corrupt(monkeypatch, {(0, 2): drift(ket)})
-        events = quiet(step - 1) + ((0, 2),) + ((0, 1),) * (length - step)
-        err = violation(events)
+    @pytest.mark.parametrize("ancillas,step,length", DRIFTS, ids=[
+        f"{step}-{length}" if ancillas == 2 else f"{ancillas}anc-{step}-{length}"
+        for ancillas, step, length in DRIFTS])
+    def test_drift_is_named_at_its_step(self, monkeypatch, copy, ket, ancillas, step, length):
+        n_qubits = 1 + ancillas
+        corrupt(monkeypatch, {(0, 2): drift(ket, n_qubits=n_qubits)})
+        events = quiet(step - 1, n_qubits) + ((0, 2),) + ((0, 1),) * (length - step)
+        err = violation(events, ancillas=ancillas)
+        assert (err.step, err.copy) == (step, copy)
         assert str(err).startswith(
             f"step {step}, pair (0, 2), p = 0.5, copy {copy}: trace drifted"
         )
+
+    def test_clean_run_of_the_ensemble_shape_exits_zero(self, capsys):
+        # The control for the three-ancilla drifts above: the same shape,
+        # checked in the same chunks, passes.
+        argv = ["trajectory", "--p", "0.5", "--ancillas", "3", "--seed", "7", "--collisions", "100"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-2].startswith("100,")
 
     def test_transient_drift_inside_a_chunk_is_caught(self, monkeypatch):
         # The (0, 1) collision undoes the scale of the (0, 2) one, so the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from csv_output import read_csv_output
+import qcollide
 from qcollide import cli
 
 HALF = 1 / math.sqrt(2)
@@ -66,6 +67,17 @@ class TestNonFiniteInput:
 
 
 class TestTrajectoryCommand:
+    def test_negative_backflow_tol_exits_two_before_the_run(self, monkeypatch, tmp_path, capsys):
+        def unreachable(*args):
+            pytest.fail("run_trajectory was called")
+
+        monkeypatch.setattr(cli, "run_trajectory", unreachable)
+        argv = ["trajectory", "--p", "0.5", "--collisions", "200000", "--backflow-tol", "-1"]
+        code, path = run(argv, tmp_path)
+        assert code == 2
+        assert "--backflow-tol" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_single_scenario_columns_and_cycle(self, tmp_path):
         code, path = run(
             ["trajectory", "--p", "0.5", "--collisions", "100"], tmp_path
@@ -434,3 +446,54 @@ class TestCollisionCap:
         assert code == 2
         assert "1000000 probabilities x --collisions 100" in capsys.readouterr().err
         assert peak < 5 * 2**20
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, monkeypatch, capsys):
+        # main builds its parser once per process. Each call must parse as a
+        # fresh parser would, and an append list (--p) must start empty,
+        # also after a call that failed halfway through its --p values.
+        argvs = [
+            ["markovian", "--p", "0.3", "--collisions", "20"],
+            ["markovian", "--p", "0.4", "--p", "x"],
+            ["--version"],
+            ["markovian", "--p", "0.6", "--collisions", "20"],
+            ["trajectory", "--p", "0.5", "--ancillas", "3", "--seed", "7", "--collisions", "30"],
+            ["orbit", "--p-grid", "0.5:0.6:0.05", "--collisions", "20"],
+        ]
+
+        def outcome(parse, argv):
+            try:
+                return vars(parse(argv))
+            except SystemExit as exc:
+                return exc.code
+
+        build = cli.build_parser
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        parser = cli._parser()
+        real_parse = parser.parse_args
+        seen = []
+
+        def recording(argv):
+            try:
+                args = real_parse(argv)
+            except SystemExit as exc:
+                seen.append(exc.code)
+                raise
+            seen.append(vars(args))
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", recording)
+        codes, outs = [], []
+        for argv in argvs:
+            codes.append(cli.main(argv))
+            outs.append(capsys.readouterr().out)
+        assert codes == [0, 2, 0, 0, 0, 0]
+        assert builds == [1]
+        assert cli._parser() is parser
+        assert seen == [outcome(build().parse_args, argv) for argv in argvs]
+        assert [line for line in outs[3].splitlines() if line.startswith("# p = ")] == [
+            f"# p = {cli._fmt(0.6)}"]
+        assert outs[2] == f"qcollide {qcollide.__version__}\n"

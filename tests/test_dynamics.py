@@ -144,6 +144,14 @@ class TestCheckRegister:
         with pytest.raises(dynamics.InvariantViolationError, match="eigenvalue"):
             dynamics.check_register(rho)
 
+    @pytest.mark.parametrize("rho", [
+        np.eye(3) / 3, np.eye(6) / 6, np.full((2, 3), 0.5), np.zeros((0, 0)), np.eye(2)[None] / 2,
+    ], ids=["3x3", "6x6", "2x3", "0x0", "1x2x2"])
+    def test_rejects_a_matrix_that_is_not_a_register(self, rho):
+        # The shapes collide rejects; the square ones are valid states.
+        with pytest.raises(ValueError, match="register must be a"):
+            dynamics.check_register(rho)
+
 
 class TestRunTrajectory:
     def test_step_count_and_initial_record(self):
