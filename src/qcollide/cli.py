@@ -204,7 +204,6 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
     window = slice(*(_window_or_none(args) or (0, None)))
-    n_qubits = 1 + args.ancillas
     if args.ancillas == 1:
         if args.seed is not None or args.restrict_system_ancilla:
             raise ConfigError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
@@ -212,10 +211,10 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
         schedule = repeated_schedule(2, (0, 1), args.collisions)
     else:
         seed = args.seed if args.seed is not None else secrets.randbits(63)
-        schedule = random_schedule(
-            n_qubits, args.collisions, seed,
-            system_ancilla_only=args.restrict_system_ancilla,
-        )
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        schedule = random_schedule(1 + args.ancillas, args.collisions, seed,
+                                   system_ancilla_only=args.restrict_system_ancilla)
     traj = run_trajectory(
         (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS),
         [ancilla] * args.ancillas, p, schedule,

@@ -23,11 +23,11 @@ from .model import (
 # Runtime drift bounds for states along a trajectory.
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = 1e-9
-# State entries (steps x copies x d x d) that one invariant check covers: about
-# 128 KB of complex values, so 512 steps of one 4x4 copy or 16 steps of two
-# 16x16 copies. Counted in entries rather than steps because the check's
-# temporaries scale with the chunk: checking a 100-collision run of two
-# 16x16 copies in one chunk peaks 2.4 MB higher than with this size.
+# State entries (steps x copies x d x d) that one invariant check covers: 64 KB
+# of float64 values or 128 KB of complex128 ones, so 512 steps of one 4x4 copy
+# or 16 steps of two 16x16 copies. Counted in entries rather than steps because
+# the check's temporaries scale with the chunk: checking a 100-collision run of
+# two complex 16x16 copies in one chunk peaks 2.4 MB higher than with this size.
 CHECK_CHUNK_ENTRIES = 2 ** 13
 
 # Orthogonal equal-weight superpositions, the standard preparation pair for
@@ -96,8 +96,8 @@ def random_schedule(
         raise ValueError(f"random schedules need 3 or 4 qubits, got {n_qubits!r}")
     if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     pairs = [p for p in itertools.combinations(range(n_qubits), 2)
              if not system_ancilla_only or p[0] == 0]
     rng = np.random.default_rng(seed)
@@ -116,12 +116,12 @@ def _factorises(a: np.ndarray) -> bool:
 def _first_violation(rhos: np.ndarray, scratch) -> tuple[int, str] | None:
     """Index of the first matrix in an (N, d, d) stack that broke an invariant, and why.
 
-    ``scratch`` is a complex and a float array of at least N (d, d) matrices,
-    written over. The stack's largest trace and Hermiticity deviations are
-    held to their bounds, and positivity is one batched Cholesky factorisation of
-    rho + POSITIVITY_FLOOR * I, which succeeds exactly when no eigenvalue lies
-    below -POSITIVITY_FLOOR (to about 1e-15, by Cholesky's backward
-    stability). NaN counts as drift. Matrices are examined one by one, and an
+    ``scratch`` is an array of the states' dtype and a float array of at least N
+    (d, d) matrices, written over. The stack's largest trace and Hermiticity
+    deviations are held to their bounds, and positivity is one batched Cholesky
+    factorisation of rho + POSITIVITY_FLOOR * I, which succeeds exactly when no
+    eigenvalue lies below -POSITIVITY_FLOOR (to about 1e-15, by Cholesky's
+    backward stability). NaN counts as drift. Matrices are examined one by one, and an
     eigenvalue is computed, only to report a failure.
     """
     work, mags = (a[:len(rhos)] for a in scratch)
@@ -137,8 +137,7 @@ def _first_violation(rhos: np.ndarray, scratch) -> tuple[int, str] | None:
         if not herm_dev[k] < qmat.HERMITICITY_TOL:
             return k, f"Hermiticity deviation {herm_dev[k]:.3e}"
         if not _factorises(rho + POSITIVITY_FLOOR * np.eye(len(rho))):
-            lam = np.linalg.eigvalsh(rho)[0]
-            return k, f"negative eigenvalue {lam:.3e} below floor"
+            return k, f"negative eigenvalue {np.linalg.eigvalsh(rho)[0]:.3e} below floor"
     return None
 
 
@@ -151,7 +150,7 @@ def _register_qubits(rho: np.ndarray) -> int:
 
 def check_register(rho: np.ndarray) -> None:
     """Raise InvariantViolationError when a register's density matrix drifted out of bounds."""
-    stack = np.asarray(rho, dtype=complex)[np.newaxis]
+    stack = qmat.as_array(rho)[np.newaxis]
     _register_qubits(stack[0])
     violation = _first_violation(stack, (np.empty_like(stack), np.empty(stack.shape)))
     if violation is not None:
@@ -230,41 +229,46 @@ def _record(chunks, names, window=None):
 
 
 def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
-    """Each pair's ``u @ rhos @ uh`` step, its (P, d, d) unitaries at ps built once per call."""
-    def step(pair):
-        u = np.stack([pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps])
-        u, uh = u[:, np.newaxis], u.conj().swapaxes(-1, -2)[:, np.newaxis]
-        return lambda rhos: u @ rhos @ uh
-
-    return {pair: step(pair) for pair in dict.fromkeys(map(tuple, schedule.events))}
+    """Each pair's ``u @ rhos @ uh`` step, its (P, d, d) unitaries at ps built once per
+    call in one dtype for every pair, so only a run's first step can promote the states."""
+    pairs = dict.fromkeys(map(tuple, schedule.events))
+    us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
+                   for pair in pairs])[:, :, np.newaxis]
+    uhs = us.conj().swapaxes(-1, -2)
+    return {pair: lambda rhos, u=u, uh=uh: u @ rhos @ uh for pair, u, uh in zip(pairs, us, uhs)}
 
 
 def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
     """Step B copies at each grid point k, with probability ps[k], through ``schedule``.
 
     ``rhos`` is their (P, B, d, d) stack, and ``steps[pair]`` maps the stack
-    to its state after one collision of that pair. Yields ``(first_n, states)``
-    chunks: ``(0, rhos[np.newaxis])``, then the fresh stacks after collisions
-    first_n, first_n + 1, ... in chunks of about CHECK_CHUNK_ENTRIES entries,
-    which bound the memory. One stacked ``_first_violation`` call, in scratch
-    reused across chunks, checks each chunk at every grid point and copy after
-    every collision before it is yielded. It scans a failed chunk in (step,
-    grid point, copy) order: a violation names the first failing step, its
-    pair, and then the lowest failing grid index (its p) and copy.
+    to its state after one collision of that pair, in the stack's dtype (the
+    first collision may promote float64 to complex128, which then holds for
+    the run). Yields ``(first_n, states)`` chunks: ``(0, rhos[np.newaxis])``,
+    then the stacks after collisions first_n, first_n + 1, ... in chunks of
+    about CHECK_CHUNK_ENTRIES entries, which bound the memory. One stacked
+    ``_first_violation`` call, in scratch reused across chunks, checks each
+    chunk at every grid point and copy after every collision before it is
+    yielded, scanning a failed chunk in (step, grid point, copy) order: a
+    violation names the first failing step, its pair, and then the lowest
+    failing grid index (its p) and copy.
     """
     yield 0, rhos[np.newaxis]
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
-    shape = (min(chunk, len(schedule)) * rhos[..., 0, 0].size,) + rhos.shape[-2:]
-    scratch = np.empty(shape, dtype=complex), np.empty(shape)
+    scratch = ()  # sized by the first chunk, the largest
     for first in range(0, len(schedule), chunk):
         block = schedule.events[first:first + chunk]
-        states = np.empty((len(block),) + rhos.shape, dtype=complex)
         # Steps past a violation in the same chunk are still computed and may
         # overflow; the check reports the violation, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (i, j) in enumerate(block):
-                rhos = states[k] = steps[i, j](rhos)
-            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]), scratch)
+                rhos = steps[i, j](rhos)
+                if not k:
+                    states = np.empty((len(block),) + rhos.shape, rhos.dtype)
+                states[k] = rhos
+            flat = states.reshape(-1, *rhos.shape[2:])
+            scratch = scratch or (np.empty_like(flat), np.empty(flat.shape))
+            violation = _first_violation(flat, scratch)
         if violation is not None:
             step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
             (i, j), n, p = block[step], first + 1 + step, float(ps[point])
@@ -288,9 +292,7 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
     if schedule.n_qubits != 1 + len(anc):
-        raise ValueError(
-            f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}"
-        )
+        raise ValueError(f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}")
     names = ["coherence_a"]
     if schedule.n_qubits == 2:
         names += ["coherence_env", "negativity"]
@@ -309,7 +311,7 @@ def markovian_step(rho_a: np.ndarray, p: float, ancilla: ThermalAncilla) -> np.n
     entries shrink by sqrt(1-p); the composition of n such steps is the
     n-collision memoryless evolution.
     """
-    a = np.asarray(rho_a, dtype=complex)
+    a = qmat.as_array(rho_a)
     if a.shape[-2:] != (2, 2):
         raise ValueError(f"expected single-qubit states, got shape {a.shape}")
     if not 0.0 <= p <= 1.0:

@@ -24,7 +24,7 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     # Summing only the off-diagonal magnitudes keeps their relative precision
     # when they are far below the diagonal; sum|a| - sum|diag| would cancel them.
     # The reshape fails unless the last two axes are square.
-    mags = np.abs(np.asarray(rho, dtype=complex))
+    mags = np.abs(qmat.as_array(rho))
     flat = mags.reshape(*mags.shape[:-2], mags.shape[-1] ** 2)
     flat[..., ::mags.shape[-1] + 1] = 0.0
     return _scalar_or_stack(flat.sum(axis=-1))
@@ -43,8 +43,7 @@ def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
 
 def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the difference of two density matrices (or stacks)."""
-    a = np.asarray(r1, dtype=complex)
-    b = np.asarray(r2, dtype=complex)
+    a, b = qmat.as_array(r1), qmat.as_array(r2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return 0.5 * qmat.trace_norm_hermitian(a - b)

@@ -62,12 +62,12 @@ class CollisionUnitary:
 
 def pure_qubit_density(q: PureQubit) -> np.ndarray:
     """Rank-1 projector of a pure qubit; entry (0, 1) is a * conj(b)."""
-    vec = np.array([q.a, q.b], dtype=complex)
+    vec = qmat.as_array([q.a, q.b])
     return np.outer(vec, vec.conj())
 
 
 def thermal_density(t: ThermalAncilla) -> np.ndarray:
-    return np.diag([t.w_g, t.w_e]).astype(complex)
+    return np.diag(qmat.as_array([t.w_g, t.w_e]))
 
 
 def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> CollisionUnitary:
@@ -87,15 +87,12 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> Co
         raise ValueError(f"pair {pair} invalid for {n_qubits} qubits (need 0 <= i < j < n)")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interaction probability must lie in [0, 1], got {p}")
-    dim = 2 ** n_qubits
-    bit_i = 1 << (n_qubits - 1 - i)
-    bit_j = 1 << (n_qubits - 1 - j)
-    stay = math.sqrt(1.0 - p)
-    hop = math.sqrt(p)
-    m = np.arange(dim)
+    bit_i, bit_j = 1 << (n_qubits - 1 - i), 1 << (n_qubits - 1 - j)
+    stay, hop = math.sqrt(1.0 - p), math.sqrt(p)
+    m = np.arange(2 ** n_qubits)
     exc_i, exc_j = (m & bit_i) != 0, (m & bit_j) != 0
     singles = m[exc_i != exc_j]  # basis states with one excitation in the pair
-    u = np.zeros((dim, dim), dtype=complex)
+    u = np.zeros((len(m), len(m)))
     u[m, m] = np.where(exc_i != exc_j, stay, 1.0)
     u[singles ^ bit_i ^ bit_j, singles] = np.where(exc_j[singles], -hop, hop)
     return CollisionUnitary(matrix=u, pair=(i, j), p=float(p), n_qubits=n_qubits)

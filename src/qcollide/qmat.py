@@ -1,7 +1,9 @@
-"""Dense complex linear algebra for small multi-qubit registers (dim <= 16).
+"""Dense real or complex linear algebra for small multi-qubit registers (dim <= 16).
 
 All operations are pure functions on numpy arrays and never mutate their
-inputs. Eigenvalue problems go to LAPACK through ``numpy.linalg``. Functions
+inputs. By ``as_array`` an array is float64 when its entries are real and
+complex128 when any is complex. Eigenvalue problems go to LAPACK through
+``numpy.linalg``, a real one to the real symmetric solver. Functions
 documented as taking a (..., d, d) stack give each matrix of it, bit for bit,
 the result of the call on that matrix alone.
 """
@@ -17,18 +19,16 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 
+def as_array(m) -> np.ndarray:
+    """``m`` as float64 when its entries are real (integers promote) and complex128 when complex."""
+    a = np.asarray(m)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = as_array(m)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _as_square(m, name, stack=True)
-    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
-    if dev >= HERMITICITY_TOL:
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return a
 
 
@@ -56,11 +56,9 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
             raise ValueError(f"keep index {k!r} is not an integer in range for {len(dims)} subsystems")
     traced = [i for i in range(len(dims)) if i not in keep_idx]
     t = a.reshape(dims + dims)
-    remaining = list(dims)
-    for idx in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    d = math.prod(remaining)
+    for done, idx in enumerate(reversed(traced)):  # last first, so earlier axes keep their place
+        t = np.trace(t, axis1=idx, axis2=idx + len(dims) - done)
+    d = math.prod(dims[k] for k in keep_idx)
     return t.reshape(d, d)
 
 
@@ -76,7 +74,11 @@ def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; (..., d) for a (..., d, d) stack."""
-    return np.linalg.eigvalsh(_require_hermitian(h, "h"))
+    a = _as_square(h, "h", stack=True)
+    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
+    if dev >= HERMITICITY_TOL:
+        raise ValueError(f"h is not Hermitian: max deviation {dev:.3e}")
+    return np.linalg.eigvalsh(a)
 
 
 def trace_norm_hermitian(h: np.ndarray) -> float | np.ndarray:

@@ -497,3 +497,17 @@ class TestParserReuse:
         assert [line for line in outs[3].splitlines() if line.startswith("# p = ")] == [
             f"# p = {cli._fmt(0.6)}"]
         assert outs[2] == f"qcollide {qcollide.__version__}\n"
+
+
+class TestSeed:
+    def test_negative_seed_exits_two_before_the_run(self, monkeypatch, tmp_path, capsys):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the run was started")
+
+        monkeypatch.setattr(cli, "random_schedule", unreachable)
+        monkeypatch.setattr(cli, "run_trajectory", unreachable)
+        argv = ["trajectory", "--p", "0.5", "--ancillas", "2", "--seed", "-1"]
+        code, path = run(argv, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "qcollide: --seed must be >= 0, got -1\n"
+        assert not path.exists()

@@ -416,3 +416,10 @@ class TestColumns:
         assert_columns(traj, ["trace_distance", "coherence_a"], 13)
         argv = ["markovian", "--p", "0.3", "--collisions", "12"]
         assert printed_columns(capsys, argv) == list(traj.columns)
+
+
+def test_negative_seed_raises_value_error_naming_the_seed():
+    # numpy's generator raised its own "expected non-negative integer", which
+    # named neither the argument nor its value.
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got -1$"):
+        dynamics.random_schedule(3, 5, -1)
