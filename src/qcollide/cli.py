@@ -10,9 +10,10 @@ import argparse
 import functools
 import json
 import math
-import secrets
+import random
 import sys
-from itertools import chain, repeat
+import warnings
+from itertools import chain
 
 from . import __version__
 from .dynamics import (
@@ -162,7 +163,12 @@ def _backflow_tol(args) -> float:
 def _ancilla(args) -> ThermalAncilla:
     if not 0.0 <= args.wg <= 1.0:
         raise ConfigError(f"--wg must lie in [0, 1], got {args.wg}")
-    return ThermalAncilla(args.wg, 1.0 - args.wg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ancilla = ThermalAncilla(args.wg, 1.0 - args.wg)
+    for warning in caught:
+        print(f"qcollide: warning: {warning.message}", file=sys.stderr)
+    return ancilla
 
 
 def _window_or_none(args) -> tuple[int, int] | None:
@@ -210,7 +216,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
         seed = None
         schedule = repeated_schedule(2, (0, 1), args.collisions)
     else:
-        seed = args.seed if args.seed is not None else secrets.randbits(63)
+        seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(63)
         if seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {seed}")
         schedule = random_schedule(1 + args.ancillas, args.collisions, seed,
@@ -320,15 +326,30 @@ def render_csv(header: dict, columns: list[str], blocks: list[tuple], footer: li
     return "".join(lines)
 
 
-def render_json(header: dict, columns: list[str], blocks: list[tuple], footer: list[str]) -> str:
-    rows = chain.from_iterable(
-        zip(*(repeat(cell) if isinstance(cell, _CONSTANT) else cell for cell in block))
-        for block in blocks
+def _json_block(columns: list[str], block: tuple) -> str:
+    """The JSON rows of one block, each ending in a comma and a newline, from one '%' call."""
+    fields = ",\n".join(
+        f"      {json.dumps(key)}: ".replace("%", "%%")
+        + (json.dumps(cell) if isinstance(cell, _CONSTANT) else "%s")
+        for key, cell in zip(columns, block)
     )
-    doc = {"config": dict(header), "rows": [dict(zip(columns, row)) for row in rows]}
+    # Each value of a column as json.dumps writes it, from one encoder call per column.
+    series = [json.dumps(list(cell))[1:-1].split(", ") if len(cell) else []
+              for cell in block if not isinstance(cell, _CONSTANT)]
+    return f"    {{\n{fields}\n    }},\n" * len(series[0]) % tuple(chain.from_iterable(zip(*series)))
+
+
+def render_json(header: dict, columns: list[str], blocks: list[tuple], footer: list[str]) -> str:
+    """``json.dumps(doc, indent=2)`` of the config, one object per row and the notes,
+    with the rows formatted a block at a time."""
+    doc = {"config": dict(header), "rows": []}
     if footer:
         doc["notes"] = footer
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
+    rows = "".join(_json_block(columns, block) for block in blocks)[:-2]
+    if rows:
+        text = text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
+    return text + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

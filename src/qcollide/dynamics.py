@@ -203,7 +203,6 @@ _METRICS = {
     "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[:, 0]).tolist(),
     "coherence_env": lambda rho_as, rhos: metrics.l1_coherence(
         np.einsum("pijik->pjk", rhos[:, 0].reshape(-1, 2, 2, 2, 2))).tolist(),
-    "negativity": lambda rho_as, rhos: metrics.negativity(rhos[:, 0], (2, 2)).tolist(),
     "trace_distance": lambda rho_as, rhos: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
 }
 
@@ -212,16 +211,19 @@ def _record(chunks, names, window=None):
     """The named metric columns over ``(first_n, chunk)`` pairs, and the last stack.
 
     A chunk holds the (P, B, d, d) stacks, B copies at P grid points, after
-    steps first_n, first_n + 1, ... Reductions are taken once per chunk and
-    each metric once per step over the grid axis; ``columns[name]`` is the
-    (P, steps) float array of its values. Only indices n in the half-open
-    ``window`` (default: all) are evaluated; the whole run is stepped and checked.
+    steps first_n, first_n + 1, ... Reductions and the negativity of copy 0
+    are taken once per chunk, each ``_METRICS`` entry once per step over the
+    grid axis; ``columns[name]`` is the (P, steps) float array of its values.
+    Only indices n in the half-open ``window`` (default: all) are evaluated;
+    the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
     flat = {name: [] for name in names}  # step-major, P values per evaluated step
-    evaluate = [(_METRICS[name], flat[name].extend) for name in names]
+    evaluate = [(_METRICS[name], flat[name].extend) for name in names if name != "negativity"]
     for first, chunk in chunks:
         part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
+        if "negativity" in flat:
+            flat["negativity"].extend(metrics.negativity(part[:, :, 0], (2, 2)).ravel().tolist())
         for rho_as, stack in zip(_system_reductions(part), part):
             for metric, extend in evaluate:
                 extend(metric(rho_as, stack))

@@ -511,3 +511,29 @@ class TestSeed:
         assert code == 2
         assert capsys.readouterr().err == "qcollide: --seed must be >= 0, got -1\n"
         assert not path.exists()
+
+    def test_unseeded_multi_draws_a_63_bit_seed(self, tmp_path):
+        argv = ["trajectory", "--p", "0.5", "--ancillas", "2", "--collisions", "3"]
+        seeds = []
+        for k in range(4):
+            code, path = run(argv, tmp_path, f"{k}.csv")
+            assert code == 0
+            seeds.append(read_csv_output(str(path))[0]["seed"])
+        assert all(seed.isdigit() and 0 <= int(seed) < 2 ** 63 for seed in seeds)
+        assert len(set(seeds)) > 1
+
+
+class TestInvertedAncilla:
+    """A --wg below 0.5 runs, and its warning is one diagnostic line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["markovian", "--p", "0.5", "--wg", "0.3", "--collisions", "2"],
+        ["trajectory", "--p", "0.5", "--wg", "0.3", "--collisions", "2"],
+        ["orbit", "--p", "0.5", "--wg", "0", "--collisions", "2"],
+    ])
+    def test_warning_is_one_stderr_line(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("# command = ")
+        assert err == ("qcollide: warning: ancilla has inverted populations (w_e > w_g), "
+                       "i.e. negative temperature\n")

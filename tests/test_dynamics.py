@@ -250,6 +250,51 @@ class TestRunTrajectory:
             assert reg.shape == (dim, dim)
 
 
+def per_step_negativity(p, n):
+    """Negativity of copy 0 after each collision 0..n, one call per state re-stepped by collide."""
+    rho = model.composite_initial(PLUS, (ANC,))
+    values = []
+    for _ in range(n + 1):
+        values.append(metrics.negativity(rho, (2, 2)))
+        rho = dynamics.collide(rho, (0, 1), p)
+    return values
+
+
+class TestNegativityPerChunk:
+    """Negativity is one stacked evaluation per checked chunk, equal bit for bit to one per step."""
+
+    def test_one_call_per_chunk_not_per_collision(self, monkeypatch, capsys):
+        calls = []
+        real = metrics.negativity
+        monkeypatch.setattr(dynamics.metrics, "negativity",
+                            lambda rho, dims: calls.append(len(rho)) or real(rho, dims))
+        assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
+        capsys.readouterr()
+        assert 1 < len(calls) <= 4
+        assert sum(calls) == 601
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_column_equals_per_step_values_over_several_chunks(self, p):
+        sched = dynamics.repeated_schedule(2, (0, 1), 600)
+        traj = dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
+        assert traj.columns["negativity"].tolist() == per_step_negativity(p, 600)
+
+    @pytest.mark.parametrize("window", [(250, 520), (1, 2), (255, 258), (0, 601)])
+    def test_windowed_grid_equals_per_step_values(self, window):
+        # Chunks of a 3-point grid of one-ancilla pairs hold 85 steps: the
+        # initial state, then collisions 1-85, 86-170, ..., 511-595, 596-600.
+        grid = [0.3, 0.62, 0.8]
+        sched = dynamics.repeated_schedule(2, (0, 1), 600)
+        initial = np.stack([model.composite_initial(s, (ANC,)) for s in (PLUS, MINUS)])
+        rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
+        chunks = dynamics._evolve(rhos, sched, grid, dynamics._unitary_steps(sched, grid))
+        columns, _ = dynamics._record(chunks, ["coherence_a", "negativity"], window)
+        assert list(columns) == ["coherence_a", "negativity"]
+        start, stop = window
+        for row, p in zip(columns["negativity"].tolist(), grid):
+            assert row == per_step_negativity(p, 600)[start:stop]
+
+
 class TestMarkovian:
     def test_bath_state_is_fixed_point(self):
         rho = np.diag([0.8, 0.2]).astype(complex)
