@@ -56,8 +56,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _grid_span(spec: str) -> tuple[float, float, int]:
-    """(start, step, point count) of a 'start:stop:step' grid, checked but not built."""
+def _grid_span(spec: str) -> tuple[float, float, float, int]:
+    """(start, stop, step, point count) of a 'start:stop:step' grid, checked but not built."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must look like start:stop:step, got {spec!r}")
@@ -75,13 +75,13 @@ def _grid_span(spec: str) -> tuple[float, float, int]:
     count = (stop - start) / step + 1e-9
     if not count < MAX_GRID_POINTS:
         raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return start, step, int(count) + 1
+    return start, stop, step, int(count) + 1
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive ascending grid."""
-    start, step, count = _grid_span(spec)
-    return [start + k * step for k in range(count)]
+    """Parse 'start:stop:step' into an inclusive ascending grid; no point passes stop."""
+    start, stop, step, count = _grid_span(spec)
+    return [min(start + k * step, stop) for k in range(count)]
 
 
 def parse_window(spec: str) -> tuple[int, int]:
@@ -192,7 +192,7 @@ def _grid_or_ps(args) -> list[float] | None:
     """
     if args.p_grid is not None and args.p is not None:
         raise ConfigError("give either --p or --p-grid, not both")
-    count = len(args.p or ()) if args.p_grid is None else _grid_span(args.p_grid)[2]
+    count = len(args.p or ()) if args.p_grid is None else _grid_span(args.p_grid)[3]
     if count * args.collisions > MAX_COLLISIONS:
         raise ConfigError(
             f"{count} probabilities x --collisions {args.collisions} is more than "

@@ -189,21 +189,13 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
-def _system_reductions(rhos):
-    """Reduced system-qubit states of a (P, B, d, d) stack; 2x2 states are their own."""
-    if rhos.shape[-1] == 2:
-        return rhos
-    half = rhos.shape[-1] // 2
-    return np.einsum("...ijkj->...ik", rhos.reshape(rhos.shape[:-2] + (2, half, 2, half)))
-
-
-# Each per-collision metric by column name, as a function of the copies' system reductions
-# and the copies: the list of its values at each grid point. Trace distance: copies 0 and 1.
+# Each per-collision metric by column name, as a function of one step's reductions, the
+# copies' (P, B, 2, 2) system states and copy 0's (P, 2, 2) environment state (None unless
+# recorded): the list of its values at each grid point. Trace distance: copies 0 and 1.
 _METRICS = {
-    "coherence_a": lambda rho_as, rhos: metrics.l1_coherence(rho_as[:, 0]).tolist(),
-    "coherence_env": lambda rho_as, rhos: metrics.l1_coherence(
-        np.einsum("pijik->pjk", rhos[:, 0].reshape(-1, 2, 2, 2, 2))).tolist(),
-    "trace_distance": lambda rho_as, rhos: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
+    "coherence_a": lambda rho_as, rho_env: metrics.l1_coherence(rho_as[:, 0]).tolist(),
+    "coherence_env": lambda rho_as, rho_env: metrics.l1_coherence(rho_env).tolist(),
+    "trace_distance": lambda rho_as, rho_env: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
 }
 
 
@@ -211,22 +203,25 @@ def _record(chunks, names, window=None):
     """The named metric columns over ``(first_n, chunk)`` pairs, and the last stack.
 
     A chunk holds the (P, B, d, d) stacks, B copies at P grid points, after
-    steps first_n, first_n + 1, ... Reductions and the negativity of copy 0
-    are taken once per chunk, each ``_METRICS`` entry once per step over the
-    grid axis; ``columns[name]`` is the (P, steps) float array of its values.
-    Only indices n in the half-open ``window`` (default: all) are evaluated;
-    the whole run is stepped and checked.
+    steps first_n, first_n + 1, ... Reductions, by ``qmat.partial_trace``, and
+    copy 0's negativity are taken once per chunk, each ``_METRICS`` entry once
+    per step over the grid axis; ``columns[name]`` is the (P, steps) float array
+    of its values. Only indices n in the half-open ``window`` (default: all) are
+    evaluated; the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
     flat = {name: [] for name in names}  # step-major, P values per evaluated step
     evaluate = [(_METRICS[name], flat[name].extend) for name in names if name != "negativity"]
     for first, chunk in chunks:
         part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
+        rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
+        rho_envs = (qmat.partial_trace(part[:, :, 0], [2, 2], keep=1) if "coherence_env" in flat
+                    else itertools.repeat(None))
         if "negativity" in flat:
             flat["negativity"].extend(metrics.negativity(part[:, :, 0], (2, 2)).ravel().tolist())
-        for rho_as, stack in zip(_system_reductions(part), part):
+        for reductions in zip(rho_as, rho_envs):
             for metric, extend in evaluate:
-                extend(metric(rho_as, stack))
+                extend(metric(*reductions))
     return {name: np.reshape(v, (-1, chunk.shape[1])).T for name, v in flat.items()}, chunk[-1]
 
 

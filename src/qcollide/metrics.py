@@ -15,10 +15,6 @@ from . import qmat
 BACKFLOW_TOL = 1e-9
 
 
-def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
-    return float(values) if values.ndim == 0 else values
-
-
 def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed energy basis."""
     # Summing only the off-diagonal magnitudes keeps their relative precision
@@ -27,7 +23,7 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     mags = np.abs(qmat.as_array(rho))
     flat = mags.reshape(*mags.shape[:-2], mags.shape[-1] ** 2)
     flat[..., ::mags.shape[-1] + 1] = 0.0
-    return _scalar_or_stack(flat.sum(axis=-1))
+    return qmat._scalar_or_stack(flat.sum(axis=-1))
 
 
 def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
@@ -38,7 +34,7 @@ def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
     states.
     """
     pt = qmat.partial_transpose(rho, dims)
-    return _scalar_or_stack(np.fmax(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0))
+    return qmat._scalar_or_stack(np.fmax(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0))
 
 
 def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:

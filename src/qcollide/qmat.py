@@ -32,34 +32,39 @@ def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> n
     return a
 
 
+def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square matrices."""
     return np.kron(_as_square(a, "a"), _as_square(b, "b"))
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems except ``keep``.
+    """Trace out all subsystems except ``keep`` of a square matrix or (..., d, d) stack.
 
     ``dims`` lists the subsystem dimensions in tensor order; ``keep`` is a
     single index or a set of indices (order of the kept subsystems is
     preserved). The trace of the result equals the trace of ``rho``.
     """
-    a = _as_square(rho, "rho")
+    a = _as_square(rho, "rho", stack=True)
     dims = list(dims)
-    if math.prod(dims) != a.shape[0]:
-        raise ValueError(f"product of dims {dims} does not match matrix dim {a.shape[0]}")
+    if math.prod(dims) != a.shape[-1]:
+        raise ValueError(f"product of dims {dims} does not match matrix dim {a.shape[-1]}")
     keep_idx = [keep] if np.isscalar(keep) else sorted(set(keep))
     if not keep_idx:
         raise ValueError("must keep at least one subsystem")
     for k in keep_idx:
         if not (isinstance(k, (int, np.integer)) and 0 <= k < len(dims)):
             raise ValueError(f"keep index {k!r} is not an integer in range for {len(dims)} subsystems")
-    traced = [i for i in range(len(dims)) if i not in keep_idx]
-    t = a.reshape(dims + dims)
-    for done, idx in enumerate(reversed(traced)):  # last first, so earlier axes keep their place
-        t = np.trace(t, axis1=idx, axis2=idx + len(dims) - done)
+    # Row axis i, column axis n + i; a traced subsystem's column shares its row index.
+    n = len(dims)
+    cols = [n + i if i in keep_idx else i for i in range(n)]
+    t = np.einsum(a.reshape(a.shape[:-2] + (*dims, *dims)), [..., *range(n), *cols],
+                  [..., *keep_idx, *(n + k for k in keep_idx)])
     d = math.prod(dims[k] for k in keep_idx)
-    return t.reshape(d, d)
+    return t.reshape(a.shape[:-2] + (d, d))
 
 
 def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -83,5 +88,4 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 
 def trace_norm_hermitian(h: np.ndarray) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix (float) or (..., d, d) stack (array)."""
-    norms = np.abs(hermitian_eigenvalues(h)).sum(axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
+    return _scalar_or_stack(np.abs(hermitian_eigenvalues(h)).sum(axis=-1))

@@ -45,6 +45,18 @@ class TestGridParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_grid("a:b:c")
 
+    def test_no_point_passes_the_stop(self):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, which is no probability.
+        assert cli.parse_grid("0.09:1:0.07")[-1] == 1.0
+        assert all(p <= 0.95 for p in cli.parse_grid("0.05:0.95:0.05"))
+
+    @pytest.mark.parametrize("command", ["orbit", "markovian"])
+    def test_a_grid_ending_at_one_runs(self, command, tmp_path):
+        code, path = run([command, "--p-grid", "0.09:1:0.07", "--collisions", "10"], tmp_path)
+        assert code == 0
+        _, columns, rows = read_csv_output(path)
+        assert column(rows, columns, "p")[-1] == 1.0
+
 
 class TestNonFiniteInput:
     """Infinite or NaN numbers are configuration errors: exit 2, no traceback."""

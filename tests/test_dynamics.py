@@ -295,6 +295,19 @@ class TestNegativityPerChunk:
             assert row == per_step_negativity(p, 600)[start:stop]
 
 
+class TestReductionsPerChunk:
+    def test_one_partial_trace_per_chunk_and_reduction(self, monkeypatch, capsys):
+        # Chunks of a one-ancilla pair hold 256 steps: the initial state, then
+        # collisions 1-256, 257-512, 513-600; each gives a system and an environment reduction.
+        calls = []
+        real = qmat.partial_trace
+        monkeypatch.setattr(dynamics.qmat, "partial_trace",
+                            lambda rho, dims, keep: calls.append(keep) or real(rho, dims, keep))
+        assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
+        capsys.readouterr()
+        assert calls == [0, 1] * 4
+
+
 class TestMarkovian:
     def test_bath_state_is_fixed_point(self):
         rho = np.diag([0.8, 0.2]).astype(complex)

@@ -109,6 +109,40 @@ def random_densities(rng, shape, dim):
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
 
 
+def per_axis_partial_trace(rho, dims, keep):
+    """Oracle: trace the traced axes of the (*dims, *dims) reshape one at a time with np.trace."""
+    n = len(dims)
+    t = rho.reshape(list(dims) * 2)
+    traced = [i for i in range(n) if i not in keep]
+    for done, idx in enumerate(reversed(traced)):  # last first, so earlier axes keep their place
+        t = np.trace(t, axis1=idx, axis2=idx + n - done)
+    d = math.prod(dims[k] for k in keep)
+    return t.reshape(d, d)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    shape=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    real=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_partial_trace_of_a_stack_is_the_trace_of_each_matrix(data, n, shape, real, seed):
+    rho = random_densities(np.random.default_rng(seed), shape, 2 ** n)
+    rho = rho.real if real else rho
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    stacked = qmat.partial_trace(rho, [2] * n, keep)
+    assert stacked.shape == shape + (2 ** len(keep),) * 2
+    for idx in np.ndindex(*shape):
+        single = qmat.partial_trace(rho[idx], [2] * n, keep)
+        assert stacked[idx].dtype == single.dtype
+        assert stacked[idx].tobytes() == single.tobytes()
+        np.testing.assert_allclose(
+            single, per_axis_partial_trace(rho[idx], [2] * n, keep), rtol=0.0, atol=1e-15
+        )
+
+
 @PROPERTY
 @given(
     name=st.sampled_from(sorted(STACK_AWARE)),
