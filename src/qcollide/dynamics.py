@@ -63,9 +63,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_qubits, (int, np.integer)) and 2 <= self.n_qubits <= 4):
             raise ValueError(f"n_qubits must be 2..4, got {self.n_qubits!r}")
+        ints = (int, np.integer)
         for ev in self.events:
             i, j = ev
-            if not (all(isinstance(k, (int, np.integer)) for k in ev) and 0 <= i < j < self.n_qubits):
+            if not (isinstance(i, ints) and isinstance(j, ints) and 0 <= i < j < self.n_qubits):
                 raise ValueError(f"event {ev} invalid for {self.n_qubits} qubits")
 
     def __len__(self) -> int:
@@ -113,30 +114,28 @@ def _factorises(a: np.ndarray) -> bool:
     return True
 
 
-def _first_violation(rhos: np.ndarray, scratch) -> tuple[int, str] | None:
+def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
     """Index of the first matrix in an (N, d, d) stack that broke an invariant, and why.
 
-    ``scratch`` is an array of the states' dtype and a float array of at least N
-    (d, d) matrices, written over. The stack's largest trace and Hermiticity
-    deviations are held to their bounds, and positivity is one batched Cholesky
-    factorisation of rho + POSITIVITY_FLOOR * I, which succeeds exactly when no
-    eigenvalue lies below -POSITIVITY_FLOOR (to about 1e-15, by Cholesky's
-    backward stability). NaN counts as drift. Matrices are examined one by one, and an
-    eigenvalue is computed, only to report a failure.
+    Each matrix's trace deviation, its entries' Hermiticity deviations and the
+    stack shifted to rho + POSITIVITY_FLOOR * I are computed once. The stack
+    passes when the largest deviations are within their bounds and one batched
+    Cholesky factorisation of the shifted stack succeeds, which happens exactly
+    when no eigenvalue lies below -POSITIVITY_FLOOR (to about 1e-15, by
+    Cholesky's backward stability). NaN counts as drift. A failed stack is
+    scanned from the same arrays; an eigenvalue is computed only for a message.
     """
-    work, mags = (a[:len(rhos)] for a in scratch)
     trace_dev = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
-    np.subtract(rhos, np.conjugate(rhos.swapaxes(1, 2), out=work), out=work)
-    if (trace_dev.max() < TRACE_TOL and np.abs(work, out=mags).max() < qmat.HERMITICITY_TOL
-            and _factorises(np.add(rhos, POSITIVITY_FLOOR * np.eye(rhos.shape[-1]), out=work))):
+    herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2))
+    shifted = rhos + POSITIVITY_FLOOR * np.eye(rhos.shape[-1])
+    if trace_dev.max() < TRACE_TOL and herm_dev.max() < qmat.HERMITICITY_TOL and _factorises(shifted):
         return None
-    herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2))
     for k, rho in enumerate(rhos):
         if not trace_dev[k] < TRACE_TOL:
             return k, f"trace drifted to {complex(np.trace(rho))!r}"
-        if not herm_dev[k] < qmat.HERMITICITY_TOL:
-            return k, f"Hermiticity deviation {herm_dev[k]:.3e}"
-        if not _factorises(rho + POSITIVITY_FLOOR * np.eye(len(rho))):
+        if not herm_dev[k].max() < qmat.HERMITICITY_TOL:
+            return k, f"Hermiticity deviation {herm_dev[k].max():.3e}"
+        if not _factorises(shifted[k]):
             return k, f"negative eigenvalue {np.linalg.eigvalsh(rho)[0]:.3e} below floor"
     return None
 
@@ -152,7 +151,7 @@ def check_register(rho: np.ndarray) -> None:
     """Raise InvariantViolationError when a register's density matrix drifted out of bounds."""
     stack = qmat.as_array(rho)[np.newaxis]
     _register_qubits(stack[0])
-    violation = _first_violation(stack, (np.empty_like(stack), np.empty(stack.shape)))
+    violation = _first_violation(stack)
     if violation is not None:
         raise InvariantViolationError(violation[1])
 
@@ -244,15 +243,13 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
     the run). Yields ``(first_n, states)`` chunks: ``(0, rhos[np.newaxis])``,
     then the stacks after collisions first_n, first_n + 1, ... in chunks of
     about CHECK_CHUNK_ENTRIES entries, which bound the memory. One stacked
-    ``_first_violation`` call, in scratch reused across chunks, checks each
-    chunk at every grid point and copy after every collision before it is
-    yielded, scanning a failed chunk in (step, grid point, copy) order: a
-    violation names the first failing step, its pair, and then the lowest
-    failing grid index (its p) and copy.
+    ``_first_violation`` call checks each chunk at every grid point and copy
+    after every collision before it is yielded, scanning a failed chunk in
+    (step, grid point, copy) order: a violation names the first failing step,
+    its pair, and then the lowest failing grid index (its p) and copy.
     """
     yield 0, rhos[np.newaxis]
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
-    scratch = ()  # sized by the first chunk, the largest
     for first in range(0, len(schedule), chunk):
         block = schedule.events[first:first + chunk]
         # Steps past a violation in the same chunk are still computed and may
@@ -263,9 +260,7 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
                 if not k:
                     states = np.empty((len(block),) + rhos.shape, rhos.dtype)
                 states[k] = rhos
-            flat = states.reshape(-1, *rhos.shape[2:])
-            scratch = scratch or (np.empty_like(flat), np.empty(flat.shape))
-            violation = _first_violation(flat, scratch)
+            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
         if violation is not None:
             step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
             (i, j), n, p = block[step], first + 1 + step, float(ps[point])

@@ -50,21 +50,20 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
     """
     a = _as_square(rho, "rho", stack=True)
     dims = list(dims)
+    n = len(dims)
     if math.prod(dims) != a.shape[-1]:
         raise ValueError(f"product of dims {dims} does not match matrix dim {a.shape[-1]}")
     keep_idx = [keep] if np.isscalar(keep) else sorted(set(keep))
     if not keep_idx:
         raise ValueError("must keep at least one subsystem")
     for k in keep_idx:
-        if not (isinstance(k, (int, np.integer)) and 0 <= k < len(dims)):
-            raise ValueError(f"keep index {k!r} is not an integer in range for {len(dims)} subsystems")
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < n):
+            raise ValueError(f"keep index {k!r} is not an integer in range for {n} subsystems")
     # Row axis i, column axis n + i; a traced subsystem's column shares its row index.
-    n = len(dims)
     cols = [n + i if i in keep_idx else i for i in range(n)]
     t = np.einsum(a.reshape(a.shape[:-2] + (*dims, *dims)), [..., *range(n), *cols],
                   [..., *keep_idx, *(n + k for k in keep_idx)])
-    d = math.prod(dims[k] for k in keep_idx)
-    return t.reshape(a.shape[:-2] + (d, d))
+    return t.reshape(a.shape[:-2] + (math.prod(dims[k] for k in keep_idx),) * 2)
 
 
 def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
