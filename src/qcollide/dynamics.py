@@ -63,6 +63,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_qubits, (int, np.integer)) and 2 <= self.n_qubits <= 4):
             raise ValueError(f"n_qubits must be 2..4, got {self.n_qubits!r}")
+        if not self.events:
+            raise ValueError("schedule has no events")
         ints = (int, np.integer)
         for ev in self.events:
             i, j = ev
@@ -103,7 +105,7 @@ def random_schedule(
              if not system_ancilla_only or p[0] == 0]
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pairs), size=n_events)
-    return Schedule(n_qubits=n_qubits, events=tuple(pairs[k] for k in idx))
+    return Schedule(n_qubits=n_qubits, events=tuple(map(pairs.__getitem__, idx.tolist())))
 
 
 def _factorises(a: np.ndarray) -> bool:
@@ -188,13 +190,11 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
-# Each per-collision metric by column name, as a function of one step's reductions, the
-# copies' (P, B, 2, 2) system states and copy 0's (P, 2, 2) environment state (None unless
-# recorded): the list of its values at each grid point. Trace distance: copies 0 and 1.
+# Each per-step metric by column name, as a function of one step's (P, B, 2, 2) system
+# states: the list of its values at each grid point. Trace distance: copies 0 and 1.
 _METRICS = {
-    "coherence_a": lambda rho_as, rho_env: metrics.l1_coherence(rho_as[:, 0]).tolist(),
-    "coherence_env": lambda rho_as, rho_env: metrics.l1_coherence(rho_env).tolist(),
-    "trace_distance": lambda rho_as, rho_env: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
+    "coherence_a": lambda rho_as: metrics.l1_coherence(rho_as[:, 0]).tolist(),
+    "trace_distance": lambda rho_as: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
 }
 
 
@@ -203,24 +203,25 @@ def _record(chunks, names, window=None):
 
     A chunk holds the (P, B, d, d) stacks, B copies at P grid points, after
     steps first_n, first_n + 1, ... Reductions, by ``qmat.partial_trace``, and
-    copy 0's negativity are taken once per chunk, each ``_METRICS`` entry once
-    per step over the grid axis; ``columns[name]`` is the (P, steps) float array
-    of its values. Only indices n in the half-open ``window`` (default: all) are
-    evaluated; the whole run is stepped and checked.
+    copy 0's ancilla coherence and negativity are taken once per chunk, each
+    ``_METRICS`` entry once per step over the grid axis; ``columns[name]`` is
+    the (P, steps) float array of its values. Only indices n in the half-open
+    ``window`` (default: all) are evaluated; the whole run is stepped and checked.
     """
     start, stop = window or (0, math.inf)
     flat = {name: [] for name in names}  # step-major, P values per evaluated step
-    evaluate = [(_METRICS[name], flat[name].extend) for name in names if name != "negativity"]
+    evaluate = [(_METRICS[name], flat[name].extend) for name in names if name in _METRICS]
     for first, chunk in chunks:
         part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
         rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
-        rho_envs = (qmat.partial_trace(part[:, :, 0], [2, 2], keep=1) if "coherence_env" in flat
-                    else itertools.repeat(None))
+        if "coherence_env" in flat:
+            rho_envs = qmat.partial_trace(part[:, :, 0], [2, 2], keep=1)
+            flat["coherence_env"].extend(metrics.l1_coherence(rho_envs).ravel().tolist())
         if "negativity" in flat:
             flat["negativity"].extend(metrics.negativity(part[:, :, 0], (2, 2)).ravel().tolist())
-        for reductions in zip(rho_as, rho_envs):
+        for step in rho_as:
             for metric, extend in evaluate:
-                extend(metric(*reductions))
+                extend(metric(step))
     return {name: np.reshape(v, (-1, chunk.shape[1])).T for name, v in flat.items()}, chunk[-1]
 
 

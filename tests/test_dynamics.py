@@ -35,6 +35,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="n_qubits"):
             dynamics.Schedule(n_qubits=2.0, events=((0, 1),))
 
+    def test_rejects_an_empty_event_list(self):
+        # An empty schedule used to pass and then fail inside the run with an IndexError.
+        with pytest.raises(ValueError, match="no events"):
+            dynamics.Schedule(n_qubits=2, events=())
+
     def test_accepts_numpy_integer_indices(self):
         pair = (np.int64(0), np.int64(1))
         assert dynamics.Schedule(n_qubits=2, events=(pair,)).events == ((0, 1),)
@@ -306,6 +311,22 @@ class TestReductionsPerChunk:
         assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
         capsys.readouterr()
         assert calls == [0, 1] * 4
+
+
+class TestEnvironmentCoherencePerChunk:
+    def test_one_environment_call_per_chunk(self, monkeypatch, capsys):
+        # Per step: one coherence_a call on the (P, 2, 2) system states. Per chunk (the
+        # initial state, then collisions 1-256, 257-512, 513-600): one coherence_env call on
+        # the (steps, P, 2, 2) environment states.
+        shapes = []
+        real = metrics.l1_coherence
+        monkeypatch.setattr(dynamics.metrics, "l1_coherence",
+                            lambda rho: shapes.append(rho.shape) or real(rho))
+        assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
+        capsys.readouterr()
+        assert len(shapes) == 605
+        assert Counter(shapes)[(1, 2, 2)] == 601
+        assert [s[0] for s in shapes if len(s) == 4] == [1, 256, 256, 88]
 
 
 class TestMarkovian:
