@@ -239,7 +239,8 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
         "backflow_tol": tol,
     }
     if args.ancillas > 1:
-        header["schedule"] = " ".join(f"{i}-{j}" for i, j in schedule.events)
+        labels = [f"{i}-{j}" for i, j in schedule.pairs]
+        header["schedule"] = " ".join(map(labels.__getitem__, schedule.index.tolist()))
     columns = {name: column.tolist() for name, column in traj.columns.items()}
     block = (range(args.collisions + 1)[window], *(cells[window] for cells in columns.values()))
     report = backflow_events(columns["trace_distance"], tol=tol)

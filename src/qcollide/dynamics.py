@@ -15,6 +15,7 @@ from .analysis import VERDICT_WINDOW
 from .model import (
     PureQubit,
     ThermalAncilla,
+    check_pair,
     composite_initial,
     pair_collision_unitary,
     pure_qubit_density,
@@ -53,33 +54,32 @@ class InvariantViolationError(RuntimeError):
         self.step, self.pair, self.p, self.copy = step, pair, p, copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Ordered list of qubit-pair collision events for one register size."""
+    """Collision k of a register is of ``pairs[index[k]]``; ``index`` is kept as a read-only copy."""
 
     n_qubits: int
-    events: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int], ...]
+    index: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_qubits, (int, np.integer)) and 2 <= self.n_qubits <= 4):
-            raise ValueError(f"n_qubits must be 2..4, got {self.n_qubits!r}")
-        if not self.events:
-            raise ValueError("schedule has no events")
-        ints = (int, np.integer)
-        for ev in self.events:
-            i, j = ev
-            if not (isinstance(i, ints) and isinstance(j, ints) and 0 <= i < j < self.n_qubits):
-                raise ValueError(f"event {ev} invalid for {self.n_qubits} qubits")
+        object.__setattr__(self, "pairs", tuple(check_pair(self.n_qubits, pair) for pair in self.pairs))
+        index = np.array(self.index)
+        if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
+                and 0 <= index.min() and index.max() < len(self.pairs)):
+            raise ValueError(f"index must be a non-empty 1-D array of integers in [0, {len(self.pairs)})")
+        index.flags.writeable = False
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.index)
 
 
 def repeated_schedule(n_qubits: int, pair: tuple[int, int], n_events: int) -> Schedule:
     """Deterministic schedule repeating one pair."""
     if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
-    return Schedule(n_qubits=n_qubits, events=(tuple(pair),) * n_events)
+    return Schedule(n_qubits, (pair,), np.zeros(n_events, dtype=int))
 
 
 def random_schedule(
@@ -92,8 +92,8 @@ def random_schedule(
     """Seeded uniform choice among qubit pairs, one pair per collision.
 
     By default ancilla-ancilla pairs participate; ``system_ancilla_only``
-    restricts the draw to pairs involving qubit 0. Replaying with the same
-    seed reproduces the event list exactly.
+    restricts the draw to pairs involving qubit 0. ``index`` is the seed's
+    ``default_rng(seed).integers`` draw into ``pairs``, in combinations order.
     """
     if not (isinstance(n_qubits, (int, np.integer)) and 3 <= n_qubits <= 4):
         raise ValueError(f"random schedules need 3 or 4 qubits, got {n_qubits!r}")
@@ -101,11 +101,9 @@ def random_schedule(
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    pairs = [p for p in itertools.combinations(range(n_qubits), 2)
-             if not system_ancilla_only or p[0] == 0]
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(pairs), size=n_events)
-    return Schedule(n_qubits=n_qubits, events=tuple(map(pairs.__getitem__, idx.tolist())))
+    pairs = tuple(p for p in itertools.combinations(range(n_qubits), 2)
+                  if not system_ancilla_only or p[0] == 0)
+    return Schedule(n_qubits, pairs, np.random.default_rng(seed).integers(0, len(pairs), n_events))
 
 
 def _factorises(a: np.ndarray) -> bool:
@@ -226,22 +224,21 @@ def _record(chunks, names, window=None):
 
 
 def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
-    """Each pair's ``u @ rhos @ uh`` step, its (P, d, d) unitaries at ps built once per
-    call in one dtype for every pair, so only a run's first step can promote the states."""
-    pairs = dict.fromkeys(map(tuple, schedule.events))
+    """The ``u @ rhos @ uh`` step of each of ``schedule.pairs``, its (P, d, d) unitaries at ps
+    built in one dtype for every pair, so only a run's first step can promote the states."""
     us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
-                   for pair in pairs])[:, :, np.newaxis]
+                   for pair in schedule.pairs])[:, :, np.newaxis]
     uhs = us.conj().swapaxes(-1, -2)
-    return {pair: lambda rhos, u=u, uh=uh: u @ rhos @ uh for pair, u, uh in zip(pairs, us, uhs)}
+    return [lambda rhos, u=u, uh=uh: u @ rhos @ uh for u, uh in zip(us, uhs)]
 
 
 def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
     """Step B copies at each grid point k, with probability ps[k], through ``schedule``.
 
-    ``rhos`` is their (P, B, d, d) stack, and ``steps[pair]`` maps the stack
-    to its state after one collision of that pair, in the stack's dtype (the
-    first collision may promote float64 to complex128, which then holds for
-    the run). Yields ``(first_n, states)`` chunks: ``(0, rhos[np.newaxis])``,
+    ``rhos`` is their (P, B, d, d) stack, and ``steps[k]`` maps it to its state
+    after one collision of ``schedule.pairs[k]``, in its dtype (the first
+    collision may promote float64 to complex128, which then holds for the
+    run). Yields ``(first_n, states)`` chunks: ``(0, rhos[np.newaxis])``,
     then the stacks after collisions first_n, first_n + 1, ... in chunks of
     about CHECK_CHUNK_ENTRIES entries, which bound the memory. One stacked
     ``_first_violation`` call checks each chunk at every grid point and copy
@@ -252,19 +249,19 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
     yield 0, rhos[np.newaxis]
     chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
     for first in range(0, len(schedule), chunk):
-        block = schedule.events[first:first + chunk]
+        block = schedule.index[first:first + chunk].tolist()
         # Steps past a violation in the same chunk are still computed and may
         # overflow; the check reports the violation, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (i, j) in enumerate(block):
-                rhos = steps[i, j](rhos)
+            for k, entry in enumerate(block):
+                rhos = steps[entry](rhos)
                 if not k:
                     states = np.empty((len(block),) + rhos.shape, rhos.dtype)
                 states[k] = rhos
             violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
         if violation is not None:
             step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
-            (i, j), n, p = block[step], first + 1 + step, float(ps[point])
+            (i, j), n, p = schedule.pairs[block[step]], first + 1 + step, float(ps[point])
             raise InvariantViolationError(
                 f"step {n}, pair ({i}, {j}), p = {p!r}, copy {copy}: {violation[1]}",
                 step=n, pair=(i, j), p=p, copy=copy,
@@ -326,7 +323,7 @@ def markovian_trajectory(
     if len(states) != 2:
         raise ValueError("the memoryless run tracks a pair of system states")
     schedule = repeated_schedule(2, (0, 1), n_steps)
-    steps = {(0, 1): lambda rhos: markovian_step(rhos, p, ancilla)}
+    steps = [lambda rhos: markovian_step(rhos, p, ancilla)]
     rhos = np.stack([pure_qubit_density(s) for s in states])[np.newaxis]
     columns, rhos = _record(_evolve(rhos, schedule, [p], steps), ["trace_distance", "coherence_a"])
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
@@ -364,13 +361,13 @@ def orbit_sweep(
     grid = tuple(float(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
+    schedule = repeated_schedule(2, (0, 1), n_collisions)
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window
     if not (all(isinstance(b, (int, np.integer)) for b in window)
             and 0 <= start < stop <= n_collisions + 1):
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
-    schedule = repeated_schedule(2, (0, 1), n_collisions)
     initial = composite_initial(SUPERPOSITION_PLUS, (ancilla,))
     rhos = np.broadcast_to(initial, (len(grid), 1) + initial.shape)
     steps = _unitary_steps(schedule, grid)

@@ -70,6 +70,17 @@ def thermal_density(t: ThermalAncilla) -> np.ndarray:
     return np.diag(qmat.as_array([t.w_g, t.w_e]))
 
 
+def check_pair(n_qubits: int, pair) -> tuple[int, int]:
+    """``pair`` as ints (i, j) if they are integers 0 <= i < j < n_qubits, n_qubits 2..4."""
+    if not (isinstance(n_qubits, (int, np.integer)) and 2 <= n_qubits <= 4):
+        raise ValueError(f"n_qubits must be 2..4, got {n_qubits!r}")
+    ints = (int, np.integer)
+    i, j = pair if np.iterable(pair) and len(pair) == 2 else (None, None)
+    if not (isinstance(i, ints) and isinstance(j, ints) and 0 <= i < j < n_qubits):
+        raise ValueError(f"pair {pair} invalid for {n_qubits} qubits (need 0 <= i < j < n)")
+    return int(i), int(j)
+
+
 def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> CollisionUnitary:
     """Build the excitation-exchange collision unitary for one qubit pair.
 
@@ -80,11 +91,7 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> Co
     carries a minus sign, its reverse a plus sign, making the matrix real
     orthogonal.
     """
-    if not (isinstance(n_qubits, (int, np.integer)) and 2 <= n_qubits <= 4):
-        raise ValueError(f"n_qubits must be 2..4, got {n_qubits!r}")
-    i, j = pair
-    if not (all(isinstance(k, (int, np.integer)) for k in pair) and 0 <= i < j < n_qubits):
-        raise ValueError(f"pair {pair} invalid for {n_qubits} qubits (need 0 <= i < j < n)")
+    i, j = check_pair(n_qubits, pair)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"interaction probability must lie in [0, 1], got {p}")
     bit_i, bit_j = 1 << (n_qubits - 1 - i), 1 << (n_qubits - 1 - j)

@@ -223,7 +223,7 @@ def test_criterion_8_structural_oracles():
         regs = [
             model.composite_initial(s, ancillas) for s in (PLUS, MINUS)
         ]
-        for pair in sched.events:
+        for pair in map(sched.pairs.__getitem__, sched.index):
             regs = [dynamics.collide(r, pair, p_run) for r in regs]
             for reg in regs:
                 trace_dev = abs(np.trace(reg) - 1.0)

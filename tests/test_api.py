@@ -30,4 +30,4 @@ def test_public_surface_is_pinned():
         for cls in filter(inspect.isclass, objects)
         for name, member in vars(cls).items()
     )
-    assert (len(qcollide.__all__), defaults, fields, methods) == (33, 8, 21, 1)
+    assert (len(qcollide.__all__), defaults, fields, methods) == (33, 8, 22, 1)

@@ -5,6 +5,8 @@ and Hermiticity deviations and one batched Cholesky factorisation; these tests
 hold its verdict to the plain per-matrix definition of the three invariants.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,23 +100,47 @@ def test_nan_on_the_diagonal_is_a_trace_drift():
 
 class TestScheduleValidation:
     def test_a_malformed_event_after_many_valid_ones(self):
-        with pytest.raises(ValueError, match=r"^event \(1, 0\) invalid for 2 qubits$"):
-            dynamics.Schedule(2, ((0, 1),) * 10 ** 5 + ((1, 0),))
+        index = np.append(np.zeros(10 ** 5, dtype=int), 2)
+        with pytest.raises(ValueError, match=r"^index must be .* integers in \[0, 2\)$"):
+            dynamics.Schedule(2, ((0, 1), (0, 1)), index)
 
     def test_a_float_equal_to_a_valid_pair_is_still_rejected(self):
         # (0.0, 1) == (0, 1), so checking each equal pair once would let it through.
-        with pytest.raises(ValueError, match=r"^event \(0\.0, 1\) invalid for 2 qubits$"):
-            dynamics.Schedule(2, ((0, 1),) * 10 ** 5 + ((0.0, 1),))
+        with pytest.raises(ValueError, match=r"^pair \(0\.0, 1\) invalid for 2 qubits"):
+            dynamics.Schedule(2, ((0, 1), (0.0, 1)), [0, 0, 0])
 
     @pytest.mark.parametrize("event", [([0], 1), [0, 5]])
     def test_an_unhashable_event(self, event):
         with pytest.raises(ValueError, match="invalid for 3 qubits"):
-            dynamics.Schedule(3, ((0, 1),) * 10 ** 5 + (event,))
+            dynamics.Schedule(3, ((0, 1), event), [0, 0, 0])
+
+    @pytest.mark.parametrize("pair", [5, np.array(5), (0, 1, 2), "01"])
+    def test_a_non_pair_is_named(self, pair):
+        # Unpacking 5 used to raise TypeError: cannot unpack non-iterable int object.
+        with pytest.raises(ValueError, match=f"^pair {re.escape(str(pair))} invalid for 3 qubits"):
+            dynamics.Schedule(3, ((0, 1), pair), [0])
 
     def test_the_first_bad_event_is_named(self):
-        events = ((0, 1), (2, 1), (0, 1), (0, 5), (2, 1))
-        with pytest.raises(ValueError, match=r"^event \(2, 1\) invalid for 3 qubits$"):
-            dynamics.Schedule(3, events)
+        pairs = ((0, 1), (2, 1), (0, 1), (0, 5), (2, 1))
+        with pytest.raises(ValueError, match=r"^pair \(2, 1\) invalid for 3 qubits"):
+            dynamics.Schedule(3, pairs, [0])
 
     def test_list_events_are_still_accepted(self):
-        assert len(dynamics.Schedule(3, ([0, 1], [1, 2], [0, 1]))) == 3
+        schedule = dynamics.Schedule(3, ([0, 1], [1, 2]), [0, 1, 0])
+        assert schedule.pairs == ((0, 1), (1, 2)) and len(schedule) == 3
+
+    @pytest.mark.parametrize("index", [
+        [0, -1], [0.0, 1.0], [[0, 1]], [True, False], ["0"], [], np.zeros(0, dtype=int),
+        np.zeros((2, 0), dtype=int),
+    ], ids=["negative", "float", "2-D", "bool", "str", "empty-list", "empty", "empty-2-D"])
+    def test_a_negative_non_integer_multi_dimensional_or_empty_index(self, index):
+        with pytest.raises(ValueError, match="^index must be a non-empty 1-D array of integers"):
+            dynamics.Schedule(3, ((0, 1), (0, 2)), index)
+
+    def test_the_index_is_a_read_only_copy(self):
+        index = np.array([0, 1, 0])
+        schedule = dynamics.Schedule(3, ((0, 1), (1, 2)), index)
+        index[:] = 1
+        np.testing.assert_array_equal(schedule.index, [0, 1, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.index[0] = 1

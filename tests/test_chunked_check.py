@@ -46,13 +46,19 @@ def drift(ket, size=1e-6, n_qubits=3):
     return np.eye(2 * rest) + size * np.kron(np.outer(ket, ket), np.eye(rest))
 
 
-def quiet(n, n_qubits=3):
+def quiet(n):
     """n ancilla-ancilla collisions, which leave each copy's system state alone."""
-    return dynamics.repeated_schedule(n_qubits, (1, 2), n).events if n else ()
+    return ((1, 2),) * n
+
+
+def schedule_of(n_qubits, events):
+    """The schedule of the pairs ``events`` in order, over a table of its distinct pairs."""
+    pairs = tuple(dict.fromkeys(events))
+    return dynamics.Schedule(n_qubits, pairs, [pairs.index(event) for event in events])
 
 
 def violation(events, p=0.5, ancillas=2):
-    schedule = dynamics.Schedule(1 + ancillas, tuple(events))
+    schedule = schedule_of(1 + ancillas, events)
     with pytest.raises(dynamics.InvariantViolationError) as info:
         dynamics.run_trajectory(PAIR, [ANC] * ancillas, p, schedule)
     return info.value
@@ -89,7 +95,7 @@ class TestOneCopyDrift:
     def test_drift_is_named_at_its_step(self, monkeypatch, copy, ket, ancillas, step, length):
         n_qubits = 1 + ancillas
         corrupt(monkeypatch, {(0, 2): drift(ket, n_qubits=n_qubits)})
-        events = quiet(step - 1, n_qubits) + ((0, 2),) + ((0, 1),) * (length - step)
+        events = quiet(step - 1) + ((0, 2),) + ((0, 1),) * (length - step)
         err = violation(events, ancillas=ancillas)
         assert (err.step, err.copy) == (step, copy)
         assert str(err).startswith(
@@ -201,7 +207,7 @@ def grid_violation(events):
     """The violation that stepping PAIR at every point of GRID through ``events`` raises."""
     initial = np.stack([model.composite_initial(s, [ANC, ANC]) for s in PAIR])
     rhos = np.broadcast_to(initial, (len(GRID),) + initial.shape)
-    schedule = dynamics.Schedule(3, tuple(events))
+    schedule = schedule_of(3, events)
     with pytest.raises(dynamics.InvariantViolationError) as info:
         for _ in dynamics._evolve(rhos, schedule, GRID, dynamics._unitary_steps(schedule, GRID)):
             pass

@@ -111,7 +111,7 @@ class TestComplexInputsRunComplex:
                 return dataclasses.replace(cu, matrix=np.exp(0.7j) * cu.matrix)
             return cu
 
-        schedule = dynamics.Schedule(3, ((1, 2), (0, 2), (0, 1)) * 5)
+        schedule = dynamics.Schedule(3, ((1, 2), (0, 2), (0, 1)), [0, 1, 2] * 5)
         want = dynamics.run_trajectory((PLUS, MINUS), [ANC, ANC], 0.5, schedule)
         monkeypatch.setattr(dynamics, "pair_collision_unitary", phased)
         got = dynamics.run_trajectory((PLUS, MINUS), [ANC, ANC], 0.5, schedule)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -22,58 +23,78 @@ def random_density(rng, dim):
 
 class TestSchedule:
     def test_rejects_bad_pair(self):
-        with pytest.raises(ValueError, match="event"):
-            dynamics.Schedule(n_qubits=3, events=((0, 3),))
+        with pytest.raises(ValueError, match=r"^pair \(0, 3\) invalid for 3 qubits"):
+            dynamics.Schedule(n_qubits=3, pairs=((0, 1), (0, 3)), index=[0])
 
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (0, 1.0), (float("nan"), 1)])
     def test_rejects_non_integer_qubit_indices(self, pair):
         # (0.0, 1.0) passed and then failed inside the run with a TypeError.
-        with pytest.raises(ValueError, match="event"):
-            dynamics.Schedule(n_qubits=2, events=(pair,))
+        with pytest.raises(ValueError, match="pair"):
+            dynamics.Schedule(n_qubits=2, pairs=(pair,), index=[0])
 
     def test_rejects_a_non_integer_register_size(self):
         with pytest.raises(ValueError, match="n_qubits"):
-            dynamics.Schedule(n_qubits=2.0, events=((0, 1),))
+            dynamics.Schedule(n_qubits=2.0, pairs=((0, 1),), index=[0])
 
     def test_rejects_an_empty_event_list(self):
         # An empty schedule used to pass and then fail inside the run with an IndexError.
-        with pytest.raises(ValueError, match="no events"):
-            dynamics.Schedule(n_qubits=2, events=())
+        with pytest.raises(ValueError, match="non-empty"):
+            dynamics.Schedule(n_qubits=2, pairs=((0, 1),), index=np.zeros(0, dtype=int))
 
     def test_accepts_numpy_integer_indices(self):
         pair = (np.int64(0), np.int64(1))
-        assert dynamics.Schedule(n_qubits=2, events=(pair,)).events == ((0, 1),)
+        sched = dynamics.Schedule(n_qubits=2, pairs=(pair,), index=[0])
+        assert sched.pairs == ((0, 1),)
+        assert all(type(k) is int for k in sched.pairs[0])
+
+    def test_compares_by_identity(self):
+        a = dynamics.repeated_schedule(2, (0, 1), 3)
+        b = dynamics.repeated_schedule(2, (0, 1), 3)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
 
     def test_repeated(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 5)
-        assert sched.events == ((0, 1),) * 5
+        assert sched.pairs == ((0, 1),)
+        np.testing.assert_array_equal(sched.index, np.zeros(5, dtype=int))
         assert len(sched) == 5
 
     def test_random_is_reproducible(self):
         a = dynamics.random_schedule(3, 100, seed=42)
         b = dynamics.random_schedule(3, 100, seed=42)
-        assert a.events == b.events
+        assert a.pairs == b.pairs
+        np.testing.assert_array_equal(a.index, b.index)
 
     def test_random_differs_across_seeds(self):
         a = dynamics.random_schedule(3, 100, seed=1)
         b = dynamics.random_schedule(3, 100, seed=2)
-        assert a.events != b.events
+        assert not np.array_equal(a.index, b.index)
 
     def test_uniform_pair_frequencies(self):
         sched = dynamics.random_schedule(3, 100_000, seed=7)
-        counts = Counter(sched.events)
-        assert set(counts) == {(0, 1), (0, 2), (1, 2)}
-        for pair, count in counts.items():
+        assert sched.pairs == ((0, 1), (0, 2), (1, 2))
+        for pair, count in zip(sched.pairs, np.bincount(sched.index, minlength=3)):
             assert abs(count / 100_000 - 1 / 3) < 0.01, pair
 
     def test_four_qubit_domain(self):
+        # Every pair in combinations order, indexed by the seed's integers draw.
         sched = dynamics.random_schedule(4, 100, seed=3)
-        allowed = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-        assert set(sched.events) <= allowed
+        assert sched.pairs == tuple(itertools.combinations(range(4), 2))
+        np.testing.assert_array_equal(sched.index, np.random.default_rng(3).integers(0, 6, 100))
 
     def test_system_ancilla_only(self):
         sched = dynamics.random_schedule(4, 200, seed=5, system_ancilla_only=True)
-        assert set(sched.events) <= {(0, 1), (0, 2), (0, 3)}
+        assert sched.pairs == ((0, 1), (0, 2), (0, 3))
+        np.testing.assert_array_equal(sched.index, np.random.default_rng(5).integers(0, 3, 200))
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_cli_schedule_header_is_the_labels_through_the_index(self, capsys, restrict):
+        argv = ["trajectory", "--p", "0.5", "--ancillas", "3", "--seed", "4", "--collisions", "30"]
+        assert cli.main(argv + ["--restrict-system-ancilla"] * restrict) == 0
+        header = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# schedule = ")]
+        sched = dynamics.random_schedule(4, 30, 4, system_ancilla_only=restrict)
+        labels = [f"{i}-{j}" for i, j in sched.pairs]
+        assert header == ["# schedule = " + " ".join(labels[k] for k in sched.index)]
 
     def test_rejects_two_qubit_random(self):
         with pytest.raises(ValueError, match="random"):
@@ -90,8 +111,12 @@ class TestSchedule:
     lambda: dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, n_steps=2.5),
     lambda: dynamics.orbit_sweep([0.5], 2.5, (0, 2)),
     lambda: qmat.partial_trace(np.eye(4), [2, 2], 0.0),
+    lambda: dynamics.Schedule(2, (5,), [0]),
+    lambda: dynamics.repeated_schedule(2, 5, 3),
+    lambda: model.pair_collision_unitary(2, 5, 0.5),
 ], ids=["unitary-pair", "unitary-size", "repeated-events", "random-events", "random-size",
-        "random-seed", "markovian-steps", "orbit-collisions", "partial-trace-keep"])
+        "random-seed", "markovian-steps", "orbit-collisions", "partial-trace-keep",
+        "schedule-non-pair", "repeated-non-pair", "unitary-non-pair"])
 def test_non_integer_counts_and_indices_raise_value_error(call):
     # Each of these used to fail later, inside numpy or range, with a TypeError.
     with pytest.raises(ValueError):
@@ -222,7 +247,7 @@ class TestRunTrajectory:
             rho = u @ rho @ u.conj().T
         oracle_rho_a = qmat.partial_trace(rho, [2] * 4, keep=0)
 
-        sched = dynamics.Schedule(n_qubits=4, events=tuple(order))
+        sched = dynamics.Schedule(n_qubits=4, pairs=tuple(order), index=range(len(order)))
         traj = dynamics.run_trajectory(model.PureQubit(0.6, 0.8), [ANC] * 3, p, sched)
         lib_rho_a = qmat.partial_trace(traj.final_registers[0], [2] * 4, keep=0)
         np.testing.assert_allclose(lib_rho_a, oracle_rho_a, atol=1e-13)
@@ -451,6 +476,12 @@ class TestOrbitSweep:
         # (40.5, 101) was accepted and reported back as the diagram's window.
         with pytest.raises(ValueError, match="window"):
             dynamics.orbit_sweep([0.5], 100, window)
+
+    @pytest.mark.parametrize("n_collisions", [2.0, -1])
+    def test_a_bad_count_is_named_before_the_default_window(self, n_collisions):
+        # These were reported as "window (0, 3.0) invalid" and "window (0, 0) invalid".
+        with pytest.raises(ValueError, match=f"^n_events .*got {n_collisions}$"):
+            dynamics.orbit_sweep([0.5], n_collisions)
 
 
 def assert_columns(traj, fields, n_rows):

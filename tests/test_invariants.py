@@ -41,8 +41,8 @@ def system_projector(ket, n_qubits):
 class TestExitFourDiagnostics:
     def test_cli_names_step_pair_p_and_copy(self, monkeypatch, capsys, tmp_path):
         seed, bad = 7, (0, 2)
-        events = dynamics.random_schedule(4, 50, seed).events
-        first = events.index(bad) + 1
+        schedule = dynamics.random_schedule(4, 50, seed)
+        first = schedule.index.tolist().index(schedule.pairs.index(bad)) + 1
         corrupt_pair(monkeypatch, bad, 1.01 * np.eye(16))
         out = tmp_path / "out.csv"
         code = cli.main(["trajectory", "--p", "0.5", "--ancillas", "3", "--seed", str(seed),
@@ -105,7 +105,7 @@ class TestEveryCopyEveryStep:
         # the first (0, 2) collision each copy's system is still |+> or |->.
         # Scaling |ket> up before that collision raises the trace of the copy
         # prepared in |ket> and leaves the other copy exactly as it was.
-        sched = dynamics.Schedule(3, ((1, 2),) * quiet_steps + ((0, 2), (0, 1)))
+        sched = dynamics.Schedule(3, ((1, 2), (0, 2), (0, 1)), [0] * quiet_steps + [1, 2])
         corrupt_pair(monkeypatch, (0, 2), np.eye(8) + 1e-6 * system_projector(ket, 3))
         with pytest.raises(dynamics.InvariantViolationError) as info:
             dynamics.run_trajectory(PAIR, [ANC, ANC], 0.5, sched)

@@ -32,7 +32,7 @@ def per_copy_run(states, ancillas, p, schedule):
             columns.setdefault(name, []).append(value)
 
     record()
-    for pair in schedule.events:
+    for pair in map(schedule.pairs.__getitem__, schedule.index):
         registers = [dynamics.collide(r, pair, p) for r in registers]
         for r in registers:
             dynamics.check_register(r)
