@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmat
+
 PERIOD_TOL = 1e-8
 MAX_PERIOD = 32
 MIN_REPEATS = 3
@@ -39,7 +41,7 @@ def detect_period(series: Sequence[float], window: int = VERDICT_WINDOW) -> Seri
     aperiodic. Values are counted as distinct under CLUSTER_TOL (a non-finite
     one is an error). Verdicts are relative to the analyzed window.
     """
-    if not isinstance(window, (int, np.integer)) or window < 1:
+    if not qmat.is_integer(window) or window < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
     x = np.asarray(series, dtype=float)
     if len(x) < MAX_PERIOD * MIN_REPEATS:

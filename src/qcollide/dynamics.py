@@ -77,7 +77,7 @@ class Schedule:
 
 def repeated_schedule(n_qubits: int, pair: tuple[int, int], n_events: int) -> Schedule:
     """Deterministic schedule repeating one pair."""
-    if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
+    if not (qmat.is_integer(n_events) and n_events >= 1):
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
     return Schedule(n_qubits, (pair,), np.zeros(n_events, dtype=int))
 
@@ -95,11 +95,11 @@ def random_schedule(
     restricts the draw to pairs involving qubit 0. ``index`` is the seed's
     ``default_rng(seed).integers`` draw into ``pairs``, in combinations order.
     """
-    if not (isinstance(n_qubits, (int, np.integer)) and 3 <= n_qubits <= 4):
+    if not (qmat.is_integer(n_qubits) and 3 <= n_qubits <= 4):
         raise ValueError(f"random schedules need 3 or 4 qubits, got {n_qubits!r}")
-    if not (isinstance(n_events, (int, np.integer)) and n_events >= 1):
+    if not (qmat.is_integer(n_events) and n_events >= 1):
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (qmat.is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     pairs = tuple(p for p in itertools.combinations(range(n_qubits), 2)
                   if not system_ancilla_only or p[0] == 0)
@@ -188,48 +188,15 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
     return states
 
 
-# Each per-step metric by column name, as a function of one step's (P, B, 2, 2) system
-# states: the list of its values at each grid point. Trace distance: copies 0 and 1.
-_METRICS = {
-    "coherence_a": lambda rho_as: metrics.l1_coherence(rho_as[:, 0]).tolist(),
-    "trace_distance": lambda rho_as: metrics.trace_distance(rho_as[:, 0], rho_as[:, 1]).tolist(),
+# Each column's (steps, P) values from a chunk's (steps, P, B, d, d) states and their system
+# states; ancilla coherence and negativity are of copy 0, trace distance of copies 0 and 1.
+# The per-step two await a bench whose peak RSS does not grow with its sample count (ROADMAP).
+_COLUMNS = {
+    "coherence_a": lambda part, rho_as: [metrics.l1_coherence(step[:, 0]) for step in rho_as],
+    "coherence_env": lambda part, rho_as: metrics.l1_coherence(qmat.partial_trace(part[:, :, 0], [2, 2], keep=1)),
+    "negativity": lambda part, rho_as: metrics.negativity(part[:, :, 0], (2, 2)),
+    "trace_distance": lambda part, rho_as: [metrics.trace_distance(step[:, 0], step[:, 1]) for step in rho_as],
 }
-
-
-def _record(chunks, names, window=None):
-    """The named metric columns over ``(first_n, chunk)`` pairs, and the last stack.
-
-    A chunk holds the (P, B, d, d) stacks, B copies at P grid points, after
-    steps first_n, first_n + 1, ... Reductions, by ``qmat.partial_trace``, and
-    copy 0's ancilla coherence and negativity are taken once per chunk, each
-    ``_METRICS`` entry once per step over the grid axis; ``columns[name]`` is
-    the (P, steps) float array of its values. Only indices n in the half-open
-    ``window`` (default: all) are evaluated; the whole run is stepped and checked.
-    """
-    start, stop = window or (0, math.inf)
-    flat = {name: [] for name in names}  # step-major, P values per evaluated step
-    evaluate = [(_METRICS[name], flat[name].extend) for name in names if name in _METRICS]
-    for first, chunk in chunks:
-        part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
-        rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
-        if "coherence_env" in flat:
-            rho_envs = qmat.partial_trace(part[:, :, 0], [2, 2], keep=1)
-            flat["coherence_env"].extend(metrics.l1_coherence(rho_envs).ravel().tolist())
-        if "negativity" in flat:
-            flat["negativity"].extend(metrics.negativity(part[:, :, 0], (2, 2)).ravel().tolist())
-        for step in rho_as:
-            for metric, extend in evaluate:
-                extend(metric(step))
-    return {name: np.reshape(v, (-1, chunk.shape[1])).T for name, v in flat.items()}, chunk[-1]
-
-
-def _unitary_steps(schedule: Schedule, ps: Sequence[float]):
-    """The ``u @ rhos @ uh`` step of each of ``schedule.pairs``, its (P, d, d) unitaries at ps
-    built in one dtype for every pair, so only a run's first step can promote the states."""
-    us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
-                   for pair in schedule.pairs])[:, :, np.newaxis]
-    uhs = us.conj().swapaxes(-1, -2)
-    return [lambda rhos, u=u, uh=uh: u @ rhos @ uh for u, uh in zip(us, uhs)]
 
 
 def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
@@ -269,27 +236,47 @@ def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
         yield first + 1, states
 
 
+def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
+    """Step the (B, d, d) ``initials`` at each p of ``ps`` through ``schedule``: the (P, steps)
+    array of each ``names`` column over the half-open ``window`` (default: all), and the final states.
+
+    Each pair's (P, d, d) unitaries are built once, in one dtype, so only the first step can
+    promote the states; ``step`` replaces them for a one-pair table. Each checked chunk of
+    ``_evolve`` gets one system reduction and one call of each named ``_COLUMNS`` entry.
+    """
+    if step is None:
+        us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
+                       for pair in schedule.pairs])[:, :, np.newaxis]
+        steps = [lambda rhos, u=u, uh=uh: u @ rhos @ uh for u, uh in zip(us, us.conj().swapaxes(-1, -2))]
+    else:
+        steps = [step]
+    start, stop = window or (0, math.inf)
+    flat = {name: [] for name in names}  # step-major, P values per evaluated step
+    for first, chunk in _evolve(np.broadcast_to(initials, (len(ps),) + initials.shape), schedule, ps, steps):
+        part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
+        rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
+        for name, values in flat.items():
+            values.extend(np.ravel(_COLUMNS[name](part, rho_as)).tolist())
+    return {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}, chunk[-1]
+
+
 def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:
     """Evolve one register (or a pair sharing the schedule) and record metrics.
 
     ``systems`` is a single pure system state or a pair of them; with a pair,
     both registers see the identical collision sequence and the trace
     distance of the reduced system states is recorded at every step. The
-    copies are the one-grid-point case of ``_evolve`` and ``_record``, so
-    every copy is checked after every collision before any metric of it is
-    computed; a violation names the first failing step, the pair, p and copy.
+    copies are the one-grid-point case of ``_run``, so every copy is checked
+    after every collision before any metric of it is computed; a violation
+    names the first failing step, the pair, p and copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
     if schedule.n_qubits != 1 + len(anc):
         raise ValueError(f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}")
-    names = ["coherence_a"]
-    if schedule.n_qubits == 2:
-        names += ["coherence_env", "negativity"]
-    if len(states) == 2:
-        names.append("trace_distance")
-    rhos = np.stack([composite_initial(s, anc) for s in states])[np.newaxis]
-    columns, rhos = _record(_evolve(rhos, schedule, [p], _unitary_steps(schedule, [p])), names)
+    names = ["coherence_a", "coherence_env", "negativity"] if schedule.n_qubits == 2 else ["coherence_a"]
+    names += ["trace_distance"] if len(states) == 2 else []
+    columns, rhos = _run(np.stack([composite_initial(s, anc) for s in states]), [p], schedule, names)
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 
@@ -322,10 +309,9 @@ def markovian_trajectory(
     states = _system_states(systems)
     if len(states) != 2:
         raise ValueError("the memoryless run tracks a pair of system states")
-    schedule = repeated_schedule(2, (0, 1), n_steps)
-    steps = [lambda rhos: markovian_step(rhos, p, ancilla)]
-    rhos = np.stack([pure_qubit_density(s) for s in states])[np.newaxis]
-    columns, rhos = _record(_evolve(rhos, schedule, [p], steps), ["trace_distance", "coherence_a"])
+    initials = np.stack([pure_qubit_density(s) for s in states])
+    columns, rhos = _run(initials, [p], repeated_schedule(2, (0, 1), n_steps), ["trace_distance", "coherence_a"],
+                         step=lambda rhos: markovian_step(rhos, p, ancilla))
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 
@@ -349,10 +335,10 @@ def orbit_sweep(
 
     For each p the coherence series of SUPERPOSITION_PLUS is recorded over
     ``window`` (a half-open range of collision indices, by default the last
-    60, the tail that ``detect_period`` classifies). One ``_evolve`` call
-    steps the whole grid as one stack, with memory bounded by a chunk of
-    collisions, and the recorder of ``run_trajectory`` computes only the
-    coherence, only inside the window, once per step over the grid axis. So
+    60, the tail that ``detect_period`` classifies). One ``_run`` call steps
+    the whole grid as one stack, with memory bounded by a chunk of
+    collisions, and computes only the ``coherence_a`` entry of
+    ``run_trajectory``'s table, only inside the window, once per step. So
     the values equal, bit for bit, that run's ``coherence_a`` column at each
     p alone. Every collision at every p, before the window too, is still
     checked, and a violation names the first failing step, then the lowest
@@ -365,12 +351,8 @@ def orbit_sweep(
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window
-    if not (all(isinstance(b, (int, np.integer)) for b in window)
-            and 0 <= start < stop <= n_collisions + 1):
+    if not (all(map(qmat.is_integer, window)) and 0 <= start < stop <= n_collisions + 1):
         raise ValueError(f"window {window} invalid for {n_collisions} collisions")
-    initial = composite_initial(SUPERPOSITION_PLUS, (ancilla,))
-    rhos = np.broadcast_to(initial, (len(grid), 1) + initial.shape)
-    steps = _unitary_steps(schedule, grid)
-    columns, _ = _record(_evolve(rhos, schedule, grid, steps), ["coherence_a"], (start, stop))
-    values = tuple(map(tuple, columns["coherence_a"].tolist()))
-    return OrbitDiagram(p_grid=grid, values=values, window=(start, stop))
+    initials = composite_initial(SUPERPOSITION_PLUS, (ancilla,))[np.newaxis]
+    columns, _ = _run(initials, grid, schedule, ["coherence_a"], (start, stop))
+    return OrbitDiagram(grid, tuple(map(tuple, columns["coherence_a"].tolist())), (start, stop))

@@ -72,11 +72,10 @@ def thermal_density(t: ThermalAncilla) -> np.ndarray:
 
 def check_pair(n_qubits: int, pair) -> tuple[int, int]:
     """``pair`` as ints (i, j) if they are integers 0 <= i < j < n_qubits, n_qubits 2..4."""
-    if not (isinstance(n_qubits, (int, np.integer)) and 2 <= n_qubits <= 4):
+    if not (qmat.is_integer(n_qubits) and 2 <= n_qubits <= 4):
         raise ValueError(f"n_qubits must be 2..4, got {n_qubits!r}")
-    ints = (int, np.integer)
     i, j = pair if np.iterable(pair) and len(pair) == 2 else (None, None)
-    if not (isinstance(i, ints) and isinstance(j, ints) and 0 <= i < j < n_qubits):
+    if not (qmat.is_integer(i) and qmat.is_integer(j) and 0 <= i < j < n_qubits):
         raise ValueError(f"pair {pair} invalid for {n_qubits} qubits (need 0 <= i < j < n)")
     return int(i), int(j)
 

@@ -25,6 +25,11 @@ def as_array(m) -> np.ndarray:
     return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool does not count as one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     a = as_array(m)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
@@ -57,7 +62,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
     if not keep_idx:
         raise ValueError("must keep at least one subsystem")
     for k in keep_idx:
-        if not (isinstance(k, (int, np.integer)) and 0 <= k < n):
+        if not (is_integer(k) and 0 <= k < n):
             raise ValueError(f"keep index {k!r} is not an integer in range for {n} subsystems")
     # Row axis i, column axis n + i; a traced subsystem's column shares its row index.
     cols = [n + i if i in keep_idx else i for i in range(n)]

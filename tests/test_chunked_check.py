@@ -206,11 +206,8 @@ GRID_CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (len(GRID) * 2 * 8 * 8)
 def grid_violation(events):
     """The violation that stepping PAIR at every point of GRID through ``events`` raises."""
     initial = np.stack([model.composite_initial(s, [ANC, ANC]) for s in PAIR])
-    rhos = np.broadcast_to(initial, (len(GRID),) + initial.shape)
-    schedule = schedule_of(3, events)
     with pytest.raises(dynamics.InvariantViolationError) as info:
-        for _ in dynamics._evolve(rhos, schedule, GRID, dynamics._unitary_steps(schedule, GRID)):
-            pass
+        dynamics._run(initial, GRID, schedule_of(3, events), [])
     return info.value
 
 

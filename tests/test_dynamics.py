@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import literal_unitaries as lit
-from qcollide import cli, dynamics, metrics, model, qmat
+from qcollide import analysis, cli, dynamics, metrics, model, qmat
 
 HALF = 1 / math.sqrt(2)
 
@@ -114,11 +114,24 @@ class TestSchedule:
     lambda: dynamics.Schedule(2, (5,), [0]),
     lambda: dynamics.repeated_schedule(2, 5, 3),
     lambda: model.pair_collision_unitary(2, 5, 0.5),
+    lambda: dynamics.repeated_schedule(2, (0, 1), True),
+    lambda: dynamics.random_schedule(3, True, 1),
+    lambda: dynamics.orbit_sweep([0.5], True),
+    lambda: dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, n_steps=True),
+    lambda: qmat.partial_trace(np.eye(4), [2, 2], True),
+    lambda: dynamics.random_schedule(3, 5, True),
+    lambda: model.pair_collision_unitary(2, (False, True), 0.5),
+    lambda: dynamics.orbit_sweep([0.5], 3, (False, True)),
+    lambda: analysis.detect_period(np.zeros(100), True),
 ], ids=["unitary-pair", "unitary-size", "repeated-events", "random-events", "random-size",
         "random-seed", "markovian-steps", "orbit-collisions", "partial-trace-keep",
-        "schedule-non-pair", "repeated-non-pair", "unitary-non-pair"])
+        "schedule-non-pair", "repeated-non-pair", "unitary-non-pair", "repeated-events-bool",
+        "random-events-bool", "orbit-collisions-bool", "markovian-steps-bool",
+        "partial-trace-keep-bool", "random-seed-bool", "unitary-pair-bool", "orbit-window-bool",
+        "period-window-bool"])
 def test_non_integer_counts_and_indices_raise_value_error(call):
-    # Each of these used to fail later, inside numpy or range, with a TypeError.
+    # Each of these used to fail later, inside numpy or range, with a TypeError,
+    # or, for a bool, to run with True taken as 1.
     with pytest.raises(ValueError):
         call()
 
@@ -316,11 +329,13 @@ class TestNegativityPerChunk:
         grid = [0.3, 0.62, 0.8]
         sched = dynamics.repeated_schedule(2, (0, 1), 600)
         initial = np.stack([model.composite_initial(s, (ANC,)) for s in (PLUS, MINUS)])
-        rhos = np.broadcast_to(initial, (len(grid),) + initial.shape)
-        chunks = dynamics._evolve(rhos, sched, grid, dynamics._unitary_steps(sched, grid))
-        columns, _ = dynamics._record(chunks, ["coherence_a", "negativity"], window)
-        assert list(columns) == ["coherence_a", "negativity"]
+        names = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
+        columns, _ = dynamics._run(initial, grid, sched, names, window)
+        whole, _ = dynamics._run(initial, grid, sched, names)
+        assert list(columns) == list(dynamics._COLUMNS) == names
         start, stop = window
+        for name in names:
+            assert columns[name].tolist() == whole[name][:, start:stop].tolist()
         for row, p in zip(columns["negativity"].tolist(), grid):
             assert row == per_step_negativity(p, 600)[start:stop]
 
