@@ -48,6 +48,8 @@ def detect_period(series: Sequence[float], window: int = VERDICT_WINDOW) -> Seri
         raise ValueError(
             f"series of length {len(x)} is too short; need at least {MAX_PERIOD * MIN_REPEATS}"
         )
+    if window > len(x):
+        raise ValueError(f"window {window} is longer than the series of length {len(x)}")
     tail = x[-window:]
     n_distinct = distinct_values(tail)
     for k in range(1, MAX_PERIOD + 1):

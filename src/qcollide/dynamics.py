@@ -199,65 +199,55 @@ _COLUMNS = {
 }
 
 
-def _evolve(rhos: np.ndarray, schedule: Schedule, ps: Sequence[float], steps):
-    """Step B copies at each grid point k, with probability ps[k], through ``schedule``.
-
-    ``rhos`` is their (P, B, d, d) stack, and ``steps[k]`` maps it to its state
-    after one collision of ``schedule.pairs[k]``, in its dtype (the first
-    collision may promote float64 to complex128, which then holds for the
-    run). Yields ``(first_n, states)`` chunks: ``(0, rhos[np.newaxis])``,
-    then the stacks after collisions first_n, first_n + 1, ... in chunks of
-    about CHECK_CHUNK_ENTRIES entries, which bound the memory. One stacked
-    ``_first_violation`` call checks each chunk at every grid point and copy
-    after every collision before it is yielded, scanning a failed chunk in
-    (step, grid point, copy) order: a violation names the first failing step,
-    its pair, and then the lowest failing grid index (its p) and copy.
-    """
-    yield 0, rhos[np.newaxis]
-    chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
-    for first in range(0, len(schedule), chunk):
-        block = schedule.index[first:first + chunk].tolist()
-        # Steps past a violation in the same chunk are still computed and may
-        # overflow; the check reports the violation, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, entry in enumerate(block):
-                rhos = steps[entry](rhos)
-                if not k:
-                    states = np.empty((len(block),) + rhos.shape, rhos.dtype)
-                states[k] = rhos
-            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
-        if violation is not None:
-            step, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
-            (i, j), n, p = schedule.pairs[block[step]], first + 1 + step, float(ps[point])
-            raise InvariantViolationError(
-                f"step {n}, pair ({i}, {j}), p = {p!r}, copy {copy}: {violation[1]}",
-                step=n, pair=(i, j), p=p, copy=copy,
-            )
-        yield first + 1, states
-
-
 def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
     """Step the (B, d, d) ``initials`` at each p of ``ps`` through ``schedule``: the (P, steps)
     array of each ``names`` column over the half-open ``window`` (default: all), and the final states.
 
-    Each pair's (P, d, d) unitaries are built once, in one dtype, so only the first step can
-    promote the states; ``step`` replaces them for a one-pair table. Each checked chunk of
-    ``_evolve`` gets one system reduction and one call of each named ``_COLUMNS`` entry.
+    The (P, B, d, d) stack steps collision k with ``steps[index[k]]``: the pair's (P, d, d)
+    unitaries, each built once, with the initial states promoted to their dtype; or, for a
+    one-pair table, ``step``, which must keep its input's dtype. The initial states are a chunk
+    of their own; the stacks after each collision follow in chunks of about CHECK_CHUNK_ENTRIES
+    entries, which bound the memory. One ``_first_violation`` call checks each chunk at every grid
+    point and copy before any metric of it is computed, scanning a failed chunk in (step, grid
+    point, copy) order: a violation names the first failing step, its pair, and then the lowest
+    failing grid index (its p) and copy. Each chunk then gets one system reduction and one call
+    of each named ``_COLUMNS`` entry.
     """
     if step is None:
         us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
                        for pair in schedule.pairs])[:, :, np.newaxis]
+        initials = initials.astype(np.result_type(initials, us))
         steps = [lambda rhos, u=u, uh=uh: u @ rhos @ uh for u, uh in zip(us, us.conj().swapaxes(-1, -2))]
     else:
         steps = [step]
+    rhos = np.broadcast_to(initials, (len(ps),) + initials.shape)
+    chunk = max(1, CHECK_CHUNK_ENTRIES // rhos.size)
     start, stop = window or (0, math.inf)
     flat = {name: [] for name in names}  # step-major, P values per evaluated step
-    for first, chunk in _evolve(np.broadcast_to(initials, (len(ps),) + initials.shape), schedule, ps, steps):
-        part = chunk[max(0, start - first):max(0, min(stop - first, len(chunk)))]
+    n, states = 0, rhos[np.newaxis]  # states[k] is the stack after collision n + k
+    while True:
+        part = states[max(0, start - n):max(0, min(stop - n, len(states)))]
         rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
         for name, values in flat.items():
             values.extend(np.ravel(_COLUMNS[name](part, rho_as)).tolist())
-    return {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}, chunk[-1]
+        n += len(states)
+        block = schedule.index[n - 1:n - 1 + chunk].tolist()
+        if not block:
+            return {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}, rhos
+        states = np.empty((len(block),) + rhos.shape, rhos.dtype)
+        # Steps past a violation in the same chunk are still computed and may
+        # overflow; the check reports the violation, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, entry in enumerate(block):
+                states[k] = rhos = steps[entry](rhos)
+            violation = _first_violation(states.reshape(-1, *rhos.shape[2:]))
+        if violation is not None:
+            k, point, copy = map(int, np.unravel_index(violation[0], states.shape[:3]))
+            (i, j), p = schedule.pairs[block[k]], float(ps[point])
+            raise InvariantViolationError(
+                f"step {n + k}, pair ({i}, {j}), p = {p!r}, copy {copy}: {violation[1]}",
+                step=n + k, pair=(i, j), p=p, copy=copy,
+            )
 
 
 def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:
@@ -350,9 +340,9 @@ def orbit_sweep(
     schedule = repeated_schedule(2, (0, 1), n_collisions)
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
-    start, stop = window
-    if not (all(map(qmat.is_integer, window)) and 0 <= start < stop <= n_collisions + 1):
-        raise ValueError(f"window {window} invalid for {n_collisions} collisions")
+    start, stop = window if np.iterable(window) and len(window) == 2 else (None, None)
+    if not (qmat.is_integer(start) and qmat.is_integer(stop) and 0 <= start < stop <= n_collisions + 1):
+        raise ValueError(f"window {window!r} invalid for {n_collisions} collisions")
     initials = composite_initial(SUPERPOSITION_PLUS, (ancilla,))[np.newaxis]
     columns, _ = _run(initials, grid, schedule, ["coherence_a"], (start, stop))
     return OrbitDiagram(grid, tuple(map(tuple, columns["coherence_a"].tolist())), (start, stop))

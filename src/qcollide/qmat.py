@@ -74,9 +74,9 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
 def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """Transpose the first factor of a bipartite square matrix or (..., d, d) stack."""
     a = _as_square(rho, "rho", stack=True)
-    da, db = dims
-    if da * db != a.shape[-1]:
-        raise ValueError(f"dims {tuple(dims)} do not match matrix dim {a.shape[-1]}")
+    da, db = dims if np.iterable(dims) and len(dims) == 2 else (None, None)
+    if not (is_integer(da) and is_integer(db) and da > 0 and da * db == a.shape[-1]):
+        raise ValueError(f"dims {dims!r} are not two subsystem sizes of matrix dim {a.shape[-1]}")
     t = a.reshape(a.shape[:-2] + (da, db, da, db))
     return t.swapaxes(-4, -2).reshape(a.shape)
 

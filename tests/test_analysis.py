@@ -47,6 +47,11 @@ class TestDetectPeriod:
         with pytest.raises(ValueError, match="short"):
             analysis.detect_period([1.0, 0.5] * 10)
 
+    def test_rejects_window_longer_than_series(self):
+        # This classified all 120 points and returned periodic(1).
+        with pytest.raises(ValueError, match="^window 200 is longer than the series of length 120$"):
+            analysis.detect_period([0.3] * 120, window=200)
+
     def test_deterministic(self):
         series = coherence_series(0.75, 100)
         assert analysis.detect_period(series) == analysis.detect_period(series)

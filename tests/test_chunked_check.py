@@ -1,6 +1,6 @@
 """The chunked invariant check of the stacked register evolution.
 
-``dynamics._evolve`` checks the states of a chunk of collisions with one
+``dynamics._run`` checks the states of a chunk of collisions with one
 stacked test. These tests place drifts at the chunk edges and inside chunks
 and require the violation to name the same step, pair, p and copy that a
 check after every single collision would name.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -486,10 +487,12 @@ class TestOrbitSweep:
         with pytest.raises(ValueError, match="window"):
             dynamics.orbit_sweep([0.5], n_collisions=10, window=(5, 20))
 
-    @pytest.mark.parametrize("window", [(40.5, 101), (40, 101.0), (float("nan"), 101)])
+    @pytest.mark.parametrize("window", [(40.5, 101), (40, 101.0), (float("nan"), 101),
+                                        5, (0,), (0, 1, 2), "0:5"])
     def test_rejects_non_integer_window_bounds(self, window):
-        # (40.5, 101) was accepted and reported back as the diagram's window.
-        with pytest.raises(ValueError, match="window"):
+        # (40.5, 101) was accepted and reported back as the diagram's window; a window
+        # that is not a pair raised Python's unpacking errors, which do not name it.
+        with pytest.raises(ValueError, match=f"^window {re.escape(repr(window))} invalid"):
             dynamics.orbit_sweep([0.5], 100, window)
 
     @pytest.mark.parametrize("n_collisions", [2.0, -1])

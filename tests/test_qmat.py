@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qcollide import qmat
+from qcollide import metrics, qmat
 
 
 def random_hermitian(rng, dim):
@@ -149,6 +151,14 @@ class TestPartialTranspose:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             qmat.partial_transpose(np.eye(4), [2, 3])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (8,), 8, (2.0, 4.0), (-2, -4)])
+    def test_rejects_dims_that_are_not_two_subsystem_sizes(self, dims):
+        # (2, 2, 2) raised "too many values to unpack (expected 2)", which does not name dims.
+        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not two subsystem sizes"):
+            qmat.partial_transpose(np.eye(8) / 8, dims)
+        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not two subsystem sizes"):
+            metrics.negativity(np.eye(8) / 8, dims)
 
     def test_defined_for_non_hermitian_matrices(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
