@@ -241,9 +241,8 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     if args.ancillas > 1:
         labels = [f"{i}-{j}" for i, j in schedule.pairs]
         header["schedule"] = " ".join(map(labels.__getitem__, schedule.index.tolist()))
-    columns = {name: column.tolist() for name, column in traj.columns.items()}
-    block = (range(args.collisions + 1)[window], *(cells[window] for cells in columns.values()))
-    report = backflow_events(columns["trace_distance"], tol=tol)
+    block = (range(args.collisions + 1)[window], *(column[window] for column in traj.columns.values()))
+    report = backflow_events(traj.columns["trace_distance"], tol=tol)
     footer = [
         f"backflow_events = {len(report.events)}, total_backflow = "
         f"{_fmt(report.total_backflow)}, max_distance = {_fmt(report.max_distance)} "
@@ -288,10 +287,9 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[tuple], list[str]]:
         traj = markovian_trajectory(
             (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
         )
-        columns = {name: column.tolist() for name, column in traj.columns.items()}
         blocks.append((range(args.collisions + 1)[window], p,
-                       *(cells[window] for cells in columns.values())))
-        report = backflow_events(columns["trace_distance"], tol=tol)
+                       *(column[window] for column in traj.columns.values())))
+        report = backflow_events(traj.columns["trace_distance"], tol=tol)
         footer.append(
             f"monotone_nonincreasing p = {_fmt(p)}: {_fmt(not report.events)} "
             f"(backflow_events = {len(report.events)}, backflow_tol = {_fmt(tol)})"

@@ -163,7 +163,7 @@ def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-collision metric columns and the final states of a run.
 
@@ -305,12 +305,12 @@ def markovian_trajectory(
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitDiagram:
-    """Windowed long-term metric values for each point of a probability grid."""
+    """Windowed long-term metric values: row i of the (P, W) float array ``values`` is at ``p_grid[i]``."""
 
     p_grid: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]
+    values: np.ndarray
     window: tuple[int, int]
 
 
@@ -345,4 +345,4 @@ def orbit_sweep(
         raise ValueError(f"window {window!r} invalid for {n_collisions} collisions")
     initials = composite_initial(SUPERPOSITION_PLUS, (ancilla,))[np.newaxis]
     columns, _ = _run(initials, grid, schedule, ["coherence_a"], (start, stop))
-    return OrbitDiagram(grid, tuple(map(tuple, columns["coherence_a"].tolist())), (start, stop))
+    return OrbitDiagram(grid, columns["coherence_a"], (start, stop))

@@ -19,8 +19,7 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the fixed energy basis."""
     # Summing only the off-diagonal magnitudes keeps their relative precision
     # when they are far below the diagonal; sum|a| - sum|diag| would cancel them.
-    # The reshape fails unless the last two axes are square.
-    mags = np.abs(qmat.as_array(rho))
+    mags = np.abs(qmat._as_square(rho, "rho", stack=True))
     flat = mags.reshape(*mags.shape[:-2], mags.shape[-1] ** 2)
     flat[..., ::mags.shape[-1] + 1] = 0.0
     return qmat._scalar_or_stack(flat.sum(axis=-1))
@@ -61,20 +60,18 @@ class BackflowReport:
 
 def backflow_events(series: Sequence[float], tol: float = BACKFLOW_TOL) -> BackflowReport:
     """Detect revivals in a trace-distance series."""
-    values = [float(x) for x in series]
-    if len(values) < 2:
-        raise ValueError("series must contain at least two values")
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 1 or len(values) < 2:
+        raise ValueError(f"series must be 1-D with at least two values, got shape {values.shape}")
     if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
     if not np.isfinite(values).all():
         raise ValueError("series has a non-finite value")
-    events = tuple(
-        (n, values[n + 1] - values[n])
-        for n in range(len(values) - 1)
-        if values[n + 1] - values[n] > tol
-    )
+    rises = np.diff(values)
+    at = np.flatnonzero(rises > tol)
+    events = tuple(zip(at.tolist(), rises[at].tolist()))
     return BackflowReport(
         events=events,
         total_backflow=float(sum(delta for _, delta in events)),
-        max_distance=float(max(values)),
+        max_distance=float(values.max()),
     )

@@ -54,6 +54,8 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int
     preserved). The trace of the result equals the trace of ``rho``.
     """
     a = _as_square(rho, "rho", stack=True)
+    if not (np.iterable(dims) and all(is_integer(d) and d > 0 for d in dims)):
+        raise ValueError(f"dims {dims!r} are not positive integer subsystem sizes")
     dims = list(dims)
     n = len(dims)
     if math.prod(dims) != a.shape[-1]:

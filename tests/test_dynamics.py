@@ -479,6 +479,11 @@ class TestOrbitSweep:
         assert diagram.p_grid == (0.8, 0.5)
         assert len(diagram.values) == 2
 
+    def test_values_are_a_float_array_with_a_row_per_grid_point(self):
+        diagram = dynamics.orbit_sweep([0.8, 0.5, 0.62], n_collisions=50, window=(40, 51))
+        assert isinstance(diagram.values, np.ndarray)
+        assert diagram.values.dtype == np.float64 and diagram.values.shape == (3, 11)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             dynamics.orbit_sweep([])
@@ -500,6 +505,15 @@ class TestOrbitSweep:
         # These were reported as "window (0, 3.0) invalid" and "window (0, 0) invalid".
         with pytest.raises(ValueError, match=f"^n_events .*got {n_collisions}$"):
             dynamics.orbit_sweep([0.5], n_collisions)
+
+
+def test_results_compare_by_identity():
+    # Their fields hold arrays, whose == is elementwise and which cannot be hashed.
+    sched = dynamics.repeated_schedule(2, (0, 1), 5)
+    for run in (lambda: dynamics.orbit_sweep([0.5], 10), lambda: dynamics.run_trajectory(PLUS, ANC, 0.5, sched)):
+        a, b = run(), run()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
 
 
 def assert_columns(traj, fields, n_rows):

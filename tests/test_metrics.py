@@ -57,6 +57,11 @@ class TestL1Coherence:
         stack = np.stack([rho, np.diag([0.8, 0.2]), np.array([[0.5, 0.1j], [-0.1j, 0.5]])])
         np.testing.assert_array_equal(metrics.l1_coherence(stack), [0.6, 0.0, 0.2])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 3)])
+    def test_rejects_a_non_square_input(self, shape):
+        with pytest.raises(ValueError, match=r"^rho must be square, got shape"):
+            metrics.l1_coherence(np.ones(shape))
+
 
 class TestNegativity:
     def test_product_states_are_zero(self):
@@ -201,6 +206,23 @@ class TestBackflowEvents:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="two"):
             metrics.backflow_events([1.0])
+
+    def test_rejects_a_two_dimensional_series(self):
+        with pytest.raises(ValueError, match="1-D"):
+            metrics.backflow_events([[1.0, 0.5], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_step_loop(self, seed):
+        # The per-step loop as the reference: each rise is the same one subtraction, and the total
+        # sums the rises left to right, so the report agrees bit for bit, in Python ints and floats.
+        values = np.random.default_rng(seed).uniform(size=200).tolist()
+        rises = [(n, values[n + 1] - values[n]) for n in range(len(values) - 1)]
+        want = tuple((n, rise) for n, rise in rises if rise > 0.1)
+        report = metrics.backflow_events(np.array(values), tol=0.1)
+        assert report.events == want
+        assert all(type(n) is int and type(rise) is float for n, rise in report.events)
+        assert report.total_backflow == sum(rise for _, rise in want)
+        assert report.max_distance == max(values)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -27,7 +27,7 @@ class TestMatchesTrajectory:
     def test_values_equal_windowed_trajectory(self, metric, window, grid):
         diagram = dynamics.orbit_sweep(grid, N, window)
         assert diagram.window == window
-        assert diagram.values == tuple(windowed_trajectory_series(p, window) for p in grid)
+        assert diagram.values.tolist() == [list(windowed_trajectory_series(p, window)) for p in grid]
 
 
 class TestClosedForm:

@@ -123,6 +123,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="keep"):
             qmat.partial_trace(np.eye(4), [2, 2], keep=2)
 
+    @pytest.mark.parametrize("dims", [8, (2.0, 2.0), (-2, -2), (2, True)])
+    def test_rejects_dims_that_are_not_positive_integer_sizes(self, dims):
+        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not positive integer"):
+            qmat.partial_trace(np.eye(4) / 4, dims, keep=0)
+
 
 class TestPartialTranspose:
     def test_product_state(self):

@@ -1,0 +1,48 @@
+"""Digest the CLI's output on a fixed set of invocations, to compare two source trees.
+
+Usage: python3 tools/cli_digest.py SRC_DIR
+
+Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
+``bench/workloads.py``'s WORKLOADS at workload seeds 1 and 5, the CASES of
+``tests/test_golden.py``, and one three-ancilla JSON run. Prints one line per
+invocation: sha256 of stdout, sha256 of stderr, exit code and argv. The
+invocations come from this checkout, so two trees are compared with
+``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 5)
+EXTRA = [["trajectory", "--p", "0.62", "--ancillas", "3", "--seed", "11", "--collisions", "800",
+          "--restrict-system-ancilla", "--format", "json"]]
+
+
+def main(src: str) -> int:
+    sys.dont_write_bytecode = True  # leave bench/ and tests/ as they are
+    sys.path[:0] = [src, str(ROOT / "bench"), str(ROOT / "tests")]
+    import qcollide.cli
+    import test_golden
+    import workloads
+
+    if not Path(qcollide.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        print(f"cli_digest: imported {qcollide.cli.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    argvs = [argv for seed in SEEDS for w in workloads.WORKLOADS.values() for argv in w.argvs(seed)]
+    for argv in argvs + list(test_golden.CASES.values()) + EXTRA:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = qcollide.cli.main(argv)
+        digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+        print(*digests, code, " ".join(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
