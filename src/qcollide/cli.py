@@ -17,6 +17,7 @@ from itertools import chain
 
 from . import __version__
 from .dynamics import (
+    DEFAULT_ANCILLA,
     SUPERPOSITION_MINUS,
     SUPERPOSITION_PLUS,
     InvariantViolationError,
@@ -29,8 +30,7 @@ from .dynamics import (
 from .metrics import BACKFLOW_TOL, backflow_events
 from .model import ThermalAncilla
 
-MAX_GRID_POINTS = 10**6  # parse_grid rejects a grid of more points
-MAX_COLLISIONS = 10**6  # main rejects a longer run, _grid_or_ps more steps over all p
+MAX_COLLISIONS = 10**6  # main rejects a longer run, _grid_or_ps more steps, _grid_span more points
 # A command returns its rows as blocks, one cell per column: a range is an
 # integer column, a number a constant column, any other sequence a float column.
 _CONSTANT = (int, float)
@@ -52,29 +52,25 @@ _EPILOG = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _grid_span(spec: str) -> tuple[float, float, float, int]:
     """(start, stop, step, point count) of a 'start:stop:step' grid, checked but not built."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid must look like start:stop:step, got {spec!r}")
+        raise ValueError(f"grid must look like start:stop:step, got {spec!r}")
     try:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
-        raise ConfigError(f"non-numeric grid specification {spec!r}") from None
+        raise ValueError(f"non-numeric grid specification {spec!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError(f"grid {spec!r} must have finite start, stop and step")
+        raise ValueError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
+        raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
-        raise ConfigError(f"grid {spec!r} is empty")
+        raise ValueError(f"grid {spec!r} is empty")
     # A float first: a huge span over a tiny step overflows int() or the memory.
     count = (stop - start) / step + 1e-9
-    if not count < MAX_GRID_POINTS:
-        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    if not count < MAX_COLLISIONS:
+        raise ValueError(f"grid {spec!r} has more than {MAX_COLLISIONS} points")
     return start, stop, step, int(count) + 1
 
 
@@ -90,9 +86,9 @@ def parse_window(spec: str) -> tuple[int, int]:
     try:
         a, b = (int(x) for x in parts)
     except ValueError:
-        raise ConfigError(f"window must look like a:b with integers, got {spec!r}") from None
+        raise ValueError(f"window must look like a:b with integers, got {spec!r}") from None
     if a < 0 or b <= a:
-        raise ConfigError(f"window {spec!r} is empty or negative")
+        raise ValueError(f"window {spec!r} is empty or negative")
     return a, b
 
 
@@ -124,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text, epilog=_EPILOG[name])
         cmd.set_defaults(run=run)
         cmd.add_argument("--p", action="append", type=float, metavar="X", help=p_help)
-        cmd.add_argument("--wg", type=float, default=0.8, metavar="X",
-                         help="ancilla ground-state weight (default 0.8)")
+        cmd.add_argument("--wg", type=float, default=DEFAULT_ANCILLA.w_g, metavar="X",
+                         help=f"ancilla ground-state weight (default {DEFAULT_ANCILLA.w_g})")
         cmd.add_argument("--collisions", type=int, default=100, metavar="N",
                          help="number of collisions (default 100)")
         cmd.add_argument("--window", metavar="A:B", help="emit only collision indices in [A, B)")
@@ -144,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="seed for the random collision schedule of 2 or 3 ancillas")
     trajectory.add_argument("--restrict-system-ancilla", action="store_true",
                             help="draw only system-ancilla pairs in the random schedule")
-    orbit.add_argument("--ancillas", type=int, default=1, metavar="N",
-                       help="only 1: the orbit diagram is the single-ancilla scenario")
     return parser
 
 
@@ -156,13 +150,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _backflow_tol(args) -> float:
     if not (math.isfinite(args.backflow_tol) and args.backflow_tol >= 0):
-        raise ConfigError(f"--backflow-tol must be finite and >= 0, got {args.backflow_tol}")
+        raise ValueError(f"--backflow-tol must be finite and >= 0, got {args.backflow_tol}")
     return args.backflow_tol
 
 
 def _ancilla(args) -> ThermalAncilla:
     if not 0.0 <= args.wg <= 1.0:
-        raise ConfigError(f"--wg must lie in [0, 1], got {args.wg}")
+        raise ValueError(f"--wg must lie in [0, 1], got {args.wg}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ancilla = ThermalAncilla(args.wg, 1.0 - args.wg)
@@ -177,7 +171,7 @@ def _window_or_none(args) -> tuple[int, int] | None:
         return None
     a, b = parse_window(args.window)
     if b > args.collisions + 1:
-        raise ConfigError(
+        raise ValueError(
             f"window {args.window!r} ends past collision {args.collisions}; "
             f"it must lie within 0:{args.collisions + 1}"
         )
@@ -191,10 +185,10 @@ def _grid_or_ps(args) -> list[float] | None:
     a grid is counted before it is built.
     """
     if args.p_grid is not None and args.p is not None:
-        raise ConfigError("give either --p or --p-grid, not both")
+        raise ValueError("give either --p or --p-grid, not both")
     count = len(args.p or ()) if args.p_grid is None else _grid_span(args.p_grid)[3]
     if count * args.collisions > MAX_COLLISIONS:
-        raise ConfigError(
+        raise ValueError(
             f"{count} probabilities x --collisions {args.collisions} is more than "
             f"{MAX_COLLISIONS} collision steps"
         )
@@ -203,22 +197,22 @@ def _grid_or_ps(args) -> list[float] | None:
 
 def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     if args.p is None or len(args.p) != 1:
-        raise ConfigError("this command needs exactly one --p value")
+        raise ValueError("this command needs exactly one --p value")
     p = args.p[0]
     if not 1 <= args.ancillas <= 3:
-        raise ConfigError(f"--ancillas must be 1..3, got {args.ancillas}")
+        raise ValueError(f"--ancillas must be 1..3, got {args.ancillas}")
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
     window = slice(*(_window_or_none(args) or (0, None)))
     if args.ancillas == 1:
         if args.seed is not None or args.restrict_system_ancilla:
-            raise ConfigError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
+            raise ValueError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
         seed = None
         schedule = repeated_schedule(2, (0, 1), args.collisions)
     else:
         seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(63)
         if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
+            raise ValueError(f"--seed must be >= 0, got {seed}")
         schedule = random_schedule(1 + args.ancillas, args.collisions, seed,
                                    system_ancilla_only=args.restrict_system_ancilla)
     traj = run_trajectory(
@@ -254,9 +248,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
 def _cmd_orbit(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     grid = _grid_or_ps(args)
     if args.p_grid is None and (grid is None or len(grid) != 1):
-        raise ConfigError("orbit needs --p-grid or a single --p")
-    if args.ancillas != 1:
-        raise ConfigError(f"orbit has one ancilla; --ancillas must be 1, got {args.ancillas}")
+        raise ValueError("orbit needs --p-grid or a single --p")
     diagram = orbit_sweep(grid, args.collisions, _window_or_none(args), ancilla=_ancilla(args))
     header = {
         "command": "orbit",
@@ -276,7 +268,7 @@ def _cmd_orbit(args) -> tuple[dict, list[str], list[tuple], list[str]]:
 def _cmd_markovian(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     ps = _grid_or_ps(args)
     if not ps:
-        raise ConfigError("markovian needs one or more --p values or --p-grid")
+        raise ValueError("markovian needs one or more --p values or --p-grid")
     ps = sorted(ps)
     tol = _backflow_tol(args)
     ancilla = _ancilla(args)
@@ -358,12 +350,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if not 1 <= args.collisions <= MAX_COLLISIONS:
-            raise ConfigError(f"--collisions must be 1..{MAX_COLLISIONS}, got {args.collisions}")
+            raise ValueError(f"--collisions must be 1..{MAX_COLLISIONS}, got {args.collisions}")
         header, columns, blocks, footer = args.run(args)
     except InvariantViolationError as exc:
         print(f"qcollide: numerical invariant violated: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qcollide: {exc}", file=sys.stderr)
         return 2
     render = render_csv if args.format == "csv" else render_json

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+import types
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,16 +168,19 @@ def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
 class Trajectory:
     """Per-collision metric columns and the final states of a run.
 
-    ``columns`` maps each recorded metric name, in print order, to the 1-D
-    float array of its values after each collision n = 0, 1, ... (n = 0 is
-    the initial state); a name that was not recorded is a KeyError.
-    ``final_registers`` holds the evolved density matrix of each tracked
-    copy: the whole register for collision runs, the system qubit for
-    fresh-ancilla runs.
+    ``columns`` is a read-only mapping of each recorded metric name, in print
+    order, to the read-only 1-D float array of its values after each
+    collision n = 0, 1, ... (n = 0 is the initial state); a name that was not
+    recorded is a KeyError. ``final_registers`` holds the read-only evolved
+    density matrix of each tracked copy: the whole register for collision
+    runs, the system qubit for fresh-ancilla runs.
     """
 
-    columns: dict[str, np.ndarray]
+    columns: Mapping[str, np.ndarray]
     final_registers: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", types.MappingProxyType(self.columns))
 
 
 def _system_states(systems) -> tuple[PureQubit, ...]:
@@ -211,7 +215,7 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
     point and copy before any metric of it is computed, scanning a failed chunk in (step, grid
     point, copy) order: a violation names the first failing step, its pair, and then the lowest
     failing grid index (its p) and copy. Each chunk then gets one system reduction and one call
-    of each named ``_COLUMNS`` entry.
+    of each named ``_COLUMNS`` entry. Every array returned is read-only.
     """
     if step is None:
         us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
@@ -233,7 +237,10 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
         n += len(states)
         block = schedule.index[n - 1:n - 1 + chunk].tolist()
         if not block:
-            return {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}, rhos
+            columns = {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}
+            for array in (*columns.values(), rhos):
+                array.flags.writeable = False
+            return columns, rhos
         states = np.empty((len(block),) + rhos.shape, rhos.dtype)
         # Steps past a violation in the same chunk are still computed and may
         # overflow; the check reports the violation, so numpy need not warn.
@@ -307,7 +314,7 @@ def markovian_trajectory(
 
 @dataclass(frozen=True, eq=False)
 class OrbitDiagram:
-    """Windowed long-term metric values: row i of the (P, W) float array ``values`` is at ``p_grid[i]``."""
+    """Windowed long-term metric values: row i of the read-only (P, W) array ``values`` is at ``p_grid[i]``."""
 
     p_grid: tuple[float, ...]
     values: np.ndarray

@@ -56,8 +56,7 @@ BAD_PROBABILITY = [f for f in INVALID if f[0] in ("--p", "--p-grid")]
 FLAGS = {
     "trajectory": {"--p", "--wg", "--ancillas", "--collisions", "--seed", "--window",
                    "--restrict-system-ancilla", "--backflow-tol", "--format", "--out"},
-    "orbit": {"--p", "--p-grid", "--wg", "--ancillas", "--collisions", "--window", "--format",
-              "--out"},
+    "orbit": {"--p", "--p-grid", "--wg", "--collisions", "--window", "--format", "--out"},
     "markovian": {"--p", "--p-grid", "--wg", "--collisions", "--window", "--backflow-tol",
                   "--format", "--out"},
 }

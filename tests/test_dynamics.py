@@ -516,6 +516,22 @@ def test_results_compare_by_identity():
         assert hash(a) == hash(a)
 
 
+def test_results_are_read_only():
+    # A frozen result is read-only all the way down, like Schedule.index.
+    sched = dynamics.random_schedule(3, 5, seed=4)
+    for traj in (dynamics.run_trajectory((PLUS, MINUS), [ANC] * 2, 0.5, sched),
+                 dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, 5)):
+        for array in (*traj.columns.values(), *traj.final_registers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        with pytest.raises(TypeError):
+            traj.columns["new"] = np.zeros(6)
+        assert len(traj.columns) == 2
+    diagram = dynamics.orbit_sweep([0.5, 0.8], 10)
+    with pytest.raises(ValueError, match="read-only"):
+        diagram.values[0, 0] = 7.0
+
+
 def assert_columns(traj, fields, n_rows):
     """``columns`` holds exactly ``fields`` in order, each a 1-D float64 array with one
     value per collision index."""

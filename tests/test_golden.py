@@ -34,6 +34,8 @@ CASES = {
         "trajectory", "--p", "0.7", "--ancillas", "3", "--seed", "3", "--collisions", "300",
         "--window", "250:301"],
     "orbit_grid.csv": ["orbit", "--p-grid", "0.5:0.85:0.05", "--collisions", "100"],
+    "orbit_grid.json": [
+        "orbit", "--p-grid", "0.5:0.85:0.05", "--collisions", "100", "--format", "json"],
     "orbit_single_window.json": [
         "orbit", "--p", "0.75", "--collisions", "60", "--window", "30:61", "--format", "json"],
     "markovian_ps.csv": [

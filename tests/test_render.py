@@ -60,8 +60,10 @@ constants = st.one_of(floats, st.integers(-10**20, 10**20))
 
 @st.composite
 def tables(draw):
-    """(header, columns, blocks, footer) with every kind of cell in each column."""
-    n_columns = draw(st.integers(1, 5))
+    """(header, columns, blocks, footer) with every kind of cell in each column, and
+    column names that JSON escapes or '%' formatting would read as a directive."""
+    columns = draw(st.lists(st.text('c%"\\\né', max_size=4), min_size=1, max_size=5, unique=True))
+    n_columns = len(columns)
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         n_rows = draw(st.integers(1, 6))
@@ -85,7 +87,7 @@ def tables(draw):
         max_size=4,
     ))
     footer = draw(st.lists(st.text(max_size=12), max_size=3))
-    return header, [f"c{i}" for i in range(n_columns)], blocks, footer
+    return header, columns, blocks, footer
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,8 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 
 Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
 ``bench/workloads.py``'s WORKLOADS at workload seeds 1 and 5, the CASES of
-``tests/test_golden.py``, and one three-ancilla JSON run. Prints one line per
+``tests/test_golden.py``, one three-ancilla JSON run, 16 bad inputs that exit 2
+with the CLI's own messages, and two ``--help`` texts. Prints one line per
 invocation: sha256 of stdout, sha256 of stderr, exit code and argv. The
 invocations come from this checkout, so two trees are compared with
 ``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
@@ -19,7 +20,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 5)
 EXTRA = [["trajectory", "--p", "0.62", "--ancillas", "3", "--seed", "11", "--collisions", "800",
-          "--restrict-system-ancilla", "--format", "json"]]
+          "--restrict-system-ancilla", "--format", "json"]] + [line.split() for line in """
+markovian --p-grid 0:1:1e-12
+orbit --p-grid 0:1e300:1e-300
+orbit --p-grid 1:0:0.1
+markovian --p 0.5 --p-grid 0:1:0.5
+markovian --p-grid 0:1:0.001 --collisions 2000
+trajectory --p 0.5 --collisions 0
+trajectory --p 0.5 --collisions 10 --window 5:50
+orbit --p 0.5 --collisions 10 --window 5:50
+trajectory --p 0.5 --window a:b
+trajectory --p 0.5 --ancillas 4
+trajectory --p 0.5 --seed 3
+trajectory --p 0.5 --ancillas 2 --seed -1
+trajectory --p 0.5 --wg 1.5
+markovian --p 0.5 --backflow-tol nan
+markovian --collisions 5
+orbit --p 0.2 --p 0.3
+trajectory --help
+markovian --help
+""".strip().splitlines()]
 
 
 def main(src: str) -> int:
