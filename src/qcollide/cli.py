@@ -18,7 +18,6 @@ from itertools import chain
 from . import __version__
 from .dynamics import (
     DEFAULT_ANCILLA,
-    SUPERPOSITION_MINUS,
     SUPERPOSITION_PLUS,
     InvariantViolationError,
     markovian_trajectory,
@@ -215,10 +214,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
             raise ValueError(f"--seed must be >= 0, got {seed}")
         schedule = random_schedule(1 + args.ancillas, args.collisions, seed,
                                    system_ancilla_only=args.restrict_system_ancilla)
-    traj = run_trajectory(
-        (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS),
-        [ancilla] * args.ancillas, p, schedule,
-    )
+    traj = run_trajectory(SUPERPOSITION_PLUS, [ancilla] * args.ancillas, p, schedule)
     header = {
         "command": "trajectory",
         "scenario": "single" if args.ancillas == 1 else "multi",
@@ -276,9 +272,7 @@ def _cmd_markovian(args) -> tuple[dict, list[str], list[tuple], list[str]]:
     blocks = []
     footer = []
     for p in ps:
-        traj = markovian_trajectory(
-            (SUPERPOSITION_PLUS, SUPERPOSITION_MINUS), p, ancilla, args.collisions,
-        )
+        traj = markovian_trajectory(SUPERPOSITION_PLUS, p, ancilla, args.collisions)
         blocks.append((range(args.collisions + 1)[window], p,
                        *(column[window] for column in traj.columns.values())))
         report = backflow_events(traj.columns["trace_distance"], tol=tol)

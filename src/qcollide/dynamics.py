@@ -32,8 +32,8 @@ POSITIVITY_FLOOR = 1e-9
 # two complex 16x16 copies in one chunk peaks 2.4 MB higher than with this size.
 CHECK_CHUNK_ENTRIES = 2 ** 13
 
-# Orthogonal equal-weight superpositions, the standard preparation pair for
-# distinguishability runs; the first is also the maximally coherent state.
+# Orthogonal equal-weight superpositions: the first is the maximally coherent state, and
+# the second is its parity mirror Z|+>, the partner that pair runs step beside it.
 SUPERPOSITION_PLUS = PureQubit(2 ** -0.5, 2 ** -0.5)
 SUPERPOSITION_MINUS = PureQubit(2 ** -0.5, -(2 ** -0.5))
 
@@ -193,13 +193,17 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
 
 
 # Each column's (steps, P) values from a chunk's (steps, P, B, d, d) states and their system
-# states; ancilla coherence and negativity are of copy 0, trace distance of copies 0 and 1.
-# The per-step two await a bench whose peak RSS does not grow with its sample count (ROADMAP).
+# states; ancilla coherence and negativity are of copy 0, trace distance of copies 0 and 1, or
+# of a lone copy and its parity mirror Z rho_S Z, taken once per chunk: the run of Z|psi>, as
+# Z^(x)n commutes with every collision and fixes every ancilla. The per-step two, and the
+# eigen-solves that the closed form 2|rho_01| would drop, await a bench whose peak RSS does not
+# grow with its sample count (ROADMAP).
 _COLUMNS = {
     "coherence_a": lambda part, rho_as: [metrics.l1_coherence(step[:, 0]) for step in rho_as],
     "coherence_env": lambda part, rho_as: metrics.l1_coherence(qmat.partial_trace(part[:, :, 0], [2, 2], keep=1)),
     "negativity": lambda part, rho_as: metrics.negativity(part[:, :, 0], (2, 2)),
-    "trace_distance": lambda part, rho_as: [metrics.trace_distance(step[:, 0], step[:, 1]) for step in rho_as],
+    "trace_distance": lambda part, rho_as: [metrics.trace_distance(a, b) for a, b in zip(
+        rho_as[:, :, 0], rho_as[:, :, 1] if rho_as.shape[2] == 2 else rho_as[:, :, 0] * [[1, -1], [-1, 1]])],
 }
 
 
@@ -261,18 +265,19 @@ def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajector
     """Evolve one register (or a pair sharing the schedule) and record metrics.
 
     ``systems`` is a single pure system state or a pair of them; with a pair,
-    both registers see the identical collision sequence and the trace
-    distance of the reduced system states is recorded at every step. The
-    copies are the one-grid-point case of ``_run``, so every copy is checked
-    after every collision before any metric of it is computed; a violation
-    names the first failing step, the pair, p and copy.
+    both registers see the identical collision sequence. The trace distance
+    of the reduced system states is recorded at every step: of the pair, or
+    of a single state and its parity mirror Z rho_S Z, the run of Z|psi>.
+    The copies are the one-grid-point case of ``_run``, so every copy is
+    checked after every collision before any metric of it is computed; a
+    violation names the first failing step, the pair, p and copy.
     """
     states = _system_states(systems)
     anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
     if schedule.n_qubits != 1 + len(anc):
         raise ValueError(f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}")
     names = ["coherence_a", "coherence_env", "negativity"] if schedule.n_qubits == 2 else ["coherence_a"]
-    names += ["trace_distance"] if len(states) == 2 else []
+    names += ["trace_distance"]
     columns, rhos = _run(np.stack([composite_initial(s, anc) for s in states]), [p], schedule, names)
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
@@ -297,15 +302,14 @@ def markovian_step(rho_a: np.ndarray, p: float, ancilla: ThermalAncilla) -> np.n
 
 
 def markovian_trajectory(
-    systems: Sequence[PureQubit],
+    systems,
     p: float,
     ancilla: ThermalAncilla,
     n_steps: int,
 ) -> Trajectory:
-    """Step a pair of system states through the fresh-ancilla map, checked after every collision."""
+    """Step one system state or a pair through the fresh-ancilla map, checked after every collision;
+    the trace distance is of the pair, or of a single state and its parity mirror Z rho Z."""
     states = _system_states(systems)
-    if len(states) != 2:
-        raise ValueError("the memoryless run tracks a pair of system states")
     initials = np.stack([pure_qubit_density(s) for s in states])
     columns, rhos = _run(initials, [p], repeated_schedule(2, (0, 1), n_steps), ["trace_distance", "coherence_a"],
                          step=lambda rhos: markovian_step(rhos, p, ancilla))

@@ -216,10 +216,11 @@ class TestRunTrajectory:
         expected = [abs(math.cos(n * math.pi / 4)) for n in range(9)]
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
-    def test_single_run_has_no_trace_distance(self):
+    def test_single_run_reads_trace_distance_from_its_parity_mirror(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 3)
         traj = dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
-        assert "trace_distance" not in traj.columns
+        pair = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
+        assert traj.columns["trace_distance"].tolist() == pair.columns["trace_distance"].tolist()
 
     def test_zero_p_freezes_all_metrics(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 6)
@@ -343,21 +344,23 @@ class TestNegativityPerChunk:
 
 class TestReductionsPerChunk:
     def test_one_partial_trace_per_chunk_and_reduction(self, monkeypatch, capsys):
-        # Chunks of a one-ancilla pair hold 256 steps: the initial state, then
-        # collisions 1-256, 257-512, 513-600; each gives a system and an environment reduction.
+        # The CLI steps |+> alone, and chunks of one 4x4 copy hold 512 steps: the initial state,
+        # then collisions 1-512, 513-600; each gives a system and an environment reduction.
         calls = []
         real = qmat.partial_trace
         monkeypatch.setattr(dynamics.qmat, "partial_trace",
-                            lambda rho, dims, keep: calls.append(keep) or real(rho, dims, keep))
+                            lambda rho, dims, keep: calls.append((keep, rho.shape[:-2])) or real(rho, dims, keep))
         assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
         capsys.readouterr()
-        assert calls == [0, 1] * 4
+        assert [keep for keep, _ in calls] == [0, 1] * 3
+        # The system reduction is of the (steps, P, copies) stack, with one grid point and one copy.
+        assert [stack for keep, stack in calls if keep == 0] == [(1, 1, 1), (512, 1, 1), (88, 1, 1)]
 
 
 class TestEnvironmentCoherencePerChunk:
     def test_one_environment_call_per_chunk(self, monkeypatch, capsys):
-        # Per step: one coherence_a call on the (P, 2, 2) system states. Per chunk (the
-        # initial state, then collisions 1-256, 257-512, 513-600): one coherence_env call on
+        # Per step: one coherence_a call on the (P, 2, 2) system states. Per chunk of one 4x4
+        # copy (the initial state, then collisions 1-512, 513-600): one coherence_env call on
         # the (steps, P, 2, 2) environment states.
         shapes = []
         real = metrics.l1_coherence
@@ -365,9 +368,9 @@ class TestEnvironmentCoherencePerChunk:
                             lambda rho: shapes.append(rho.shape) or real(rho))
         assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
         capsys.readouterr()
-        assert len(shapes) == 605
+        assert len(shapes) == 604
         assert Counter(shapes)[(1, 2, 2)] == 601
-        assert [s[0] for s in shapes if len(s) == 4] == [1, 256, 256, 88]
+        assert [s[0] for s in shapes if len(s) == 4] == [1, 512, 88]
 
 
 class TestMarkovian:
@@ -433,9 +436,12 @@ class TestMarkovian:
         np.testing.assert_allclose(np.diag(final).real, [0.8, 0.2], atol=1e-6)
         assert abs(final[0, 1]) < 1e-6
 
-    def test_requires_pair(self):
-        with pytest.raises(ValueError, match="pair"):
-            dynamics.markovian_trajectory((PLUS,), 0.5, ANC, 10)
+    def test_takes_one_or_two_states(self):
+        lone = dynamics.markovian_trajectory(PLUS, 0.5, ANC, 10)
+        assert list(lone.columns) == ["trace_distance", "coherence_a"]
+        assert len(lone.final_registers) == 1
+        with pytest.raises(ValueError, match="need one or two system states, got 3"):
+            dynamics.markovian_trajectory((PLUS, MINUS, PLUS), 0.5, ANC, 10)
 
 
 class TestEnvironmentSize:

@@ -5,8 +5,9 @@ data cells and footers may move by at most 1e-12 + 1e-14 * n, where n is the
 row's collision index (the run's collision count where a row has none), so
 that a change of kernel may move the last digits but nothing more.
 
-Regenerate only for a deliberate contract change:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py`` writes only the golden files
+that are missing and leaves the committed ones as they are. To regenerate one
+case for a deliberate contract change, delete its file first.
 """
 
 import json
@@ -118,4 +119,5 @@ def test_output_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        run_case(argv, GOLDEN / name)
+        if not (GOLDEN / name).exists():
+            run_case(argv, GOLDEN / name)

@@ -77,14 +77,15 @@ class TestFreshAncillaRun:
     # The fresh-ancilla run steps through the same checked loop as the
     # register runs, so a drift of its 2x2 states is caught at its step.
     def test_cli_names_step_pair_p_and_copy(self, monkeypatch, capsys, tmp_path):
-        drift_markovian_copy(monkeypatch, 0.6, 7, 1)
+        # The CLI steps |+> alone, so its stack has one copy, copy 0.
+        drift_markovian_copy(monkeypatch, 0.6, 7, 0)
         out = tmp_path / "out.csv"
         code = cli.main(["markovian", "--p", "0.3", "--p", "0.6", "--collisions", "20",
                          "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("qcollide: numerical invariant violated: "
-                              "step 7, pair (0, 1), p = 0.6, copy 1: trace drifted")
+                              "step 7, pair (0, 1), p = 0.6, copy 0: trace drifted")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -168,26 +168,47 @@ def test_stacked_call_equals_the_calls_on_each_matrix(name, dims, shape, seed):
     assert stacked.tobytes() == expected.tobytes()
 
 
+# |+>, or cos(theta)|g> + b|e> with b = sin(theta) real or e^(i phi) sin(theta) complex.
+mirrored_qubits = st.one_of(
+    st.just(dynamics.SUPERPOSITION_PLUS),
+    st.builds(lambda theta, phase: model.PureQubit(math.cos(theta), phase * math.sin(theta)),
+              st.floats(0.0, math.pi / 2),
+              st.one_of(st.sampled_from([1.0, -1.0]),
+                        st.floats(0.0, 2 * math.pi).map(lambda phi: complex(np.exp(1j * phi))))),
+)
+
+
 @PROPERTY
 @given(n_ancillas=st.integers(1, 3), p=st.floats(0.0, 1.0), w_g=st.floats(0.5, 1.0),
-       seed=st.integers(0, 2 ** 63 - 1), system_ancilla_only=st.booleans(), n_collisions=st.integers(1, 200))
+       seed=st.integers(0, 2 ** 63 - 1), system_ancilla_only=st.booleans(), n_collisions=st.integers(1, 200),
+       psi=mirrored_qubits)
 def test_minus_register_is_the_parity_mirror_of_the_plus_register(
-    n_ancillas, p, w_g, seed, system_ancilla_only, n_collisions
+    n_ancillas, p, w_g, seed, system_ancilla_only, n_collisions, psi
 ):
     # The parity P = diag((-1)^popcount) commutes with every collision unitary, which conserves the
     # excitation number, and fixes every diagonal ancilla. P only flips signs, and a unitary entry is
-    # zero wherever its row's and column's signs differ, so rho_- = P rho_+ P holds exactly in floating
-    # point (a zero entry may differ in sign); the pair's trace distance is then 2|rho_S,01|, the
-    # system coherence. w_g stays at or above 1/2, where the ancilla does not warn.
+    # zero wherever its row's and column's signs differ, so rho_Zpsi = P rho_psi P holds exactly in
+    # floating point (a zero entry may differ in sign); the pair's trace distance is then 2|rho_S,01|,
+    # the system coherence. For psi = |+>, Z psi is |->. So a lone run, which reads its trace distance
+    # from its parity mirror, records the pair run's columns as floats, in the fresh-ancilla limit
+    # too. w_g stays at or above 1/2, where the ancilla does not warn.
     n_qubits = 1 + n_ancillas
     if n_ancillas == 1:
         schedule = dynamics.repeated_schedule(2, (0, 1), n_collisions)
     else:
         schedule = dynamics.random_schedule(n_qubits, n_collisions, seed,
                                             system_ancilla_only=system_ancilla_only)
-    pair = (dynamics.SUPERPOSITION_PLUS, dynamics.SUPERPOSITION_MINUS)
-    traj = dynamics.run_trajectory(pair, [model.ThermalAncilla(w_g, 1.0 - w_g)] * n_ancillas, p, schedule)
-    plus, minus = traj.final_registers
+    ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+    pair = (psi, model.PureQubit(psi.a, -psi.b))
+    traj = dynamics.run_trajectory(pair, [ancilla] * n_ancillas, p, schedule)
+    rho, mirror = traj.final_registers
     parity = (-1.0) ** np.array([bin(k).count("1") for k in range(2 ** n_qubits)])
-    np.testing.assert_array_equal(parity[:, np.newaxis] * plus * parity, minus)
+    np.testing.assert_array_equal(parity[:, np.newaxis] * rho * parity, mirror)
     assert np.abs(traj.columns["coherence_a"] - traj.columns["trace_distance"]).max() <= 1e-15
+    for lone, paired in [(dynamics.run_trajectory(psi, [ancilla] * n_ancillas, p, schedule), traj),
+                         (dynamics.markovian_trajectory(psi, p, ancilla, n_collisions),
+                          dynamics.markovian_trajectory(pair, p, ancilla, n_collisions))]:
+        assert [(name, c.tolist()) for name, c in lone.columns.items()] == [
+            (name, c.tolist()) for name, c in paired.columns.items()]
+        assert len(lone.final_registers) == 1
+        np.testing.assert_array_equal(lone.final_registers[0], paired.final_registers[0])

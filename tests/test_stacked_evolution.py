@@ -13,8 +13,11 @@ TOL = 1e-13
 
 
 def per_copy_run(states, ancillas, p, schedule):
-    """One register per copy, one collide and one check_register per copy and step."""
-    registers = [model.composite_initial(s, ancillas) for s in states]
+    """One register per copy, one collide and one check_register per copy and step. A lone
+    state also steps its parity mirror Z|psi> as the partner of its trace distance; the
+    mirror's final register is not returned."""
+    partners = states if len(states) == 2 else (*states, model.PureQubit(states[0].a, -states[0].b))
+    registers = [model.composite_initial(s, ancillas) for s in partners]
     dims = [2] * (1 + len(ancillas))
     columns = {}
 
@@ -25,9 +28,8 @@ def per_copy_run(states, ancillas, p, schedule):
             rho_env = qmat.partial_trace(registers[0], dims, keep=1)
             rec["coherence_env"] = metrics.l1_coherence(rho_env)
             rec["negativity"] = metrics.negativity(registers[0], (2, 2))
-        if len(registers) == 2:
-            other = qmat.partial_trace(registers[1], dims, keep=0)
-            rec["trace_distance"] = metrics.trace_distance(rho_a, other)
+        other = qmat.partial_trace(registers[1], dims, keep=0)
+        rec["trace_distance"] = metrics.trace_distance(rho_a, other)
         for name, value in rec.items():
             columns.setdefault(name, []).append(value)
 
@@ -37,7 +39,7 @@ def per_copy_run(states, ancillas, p, schedule):
         for r in registers:
             dynamics.check_register(r)
         record()
-    return columns, registers
+    return columns, registers[:len(states)]
 
 
 qubits = st.builds(

@@ -5,9 +5,12 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
 ``bench/workloads.py``'s WORKLOADS at workload seeds 1 and 5, the CASES of
 ``tests/test_golden.py``, one three-ancilla JSON run, 16 bad inputs that exit 2
-with the CLI's own messages, and two ``--help`` texts. Prints one line per
-invocation: sha256 of stdout, sha256 of stderr, exit code and argv. The
-invocations come from this checkout, so two trees are compared with
+with the CLI's own messages, two ``--help`` texts, and nine runs at the edges
+where the trace distance of a lone |+> and its parity mirror must equal that of
+a stepped ± pair (p of 0 and 1, w_g below 1/2 and at 1, long runs): 144
+invocations in all. Prints one line per invocation: sha256 of stdout, sha256
+of stderr, exit code and argv. The invocations come from this checkout, so
+two trees are compared with
 ``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
 """
 
@@ -39,6 +42,15 @@ markovian --collisions 5
 orbit --p 0.2 --p 0.3
 trajectory --help
 markovian --help
+trajectory --p 0.3 --ancillas 2 --seed 5 --collisions 400 --restrict-system-ancilla --wg 0.6
+trajectory --p 0.9 --ancillas 3 --seed 2 --collisions 400 --wg 0.3
+trajectory --p 1 --ancillas 3 --seed 4 --collisions 200
+trajectory --p 0 --collisions 50
+trajectory --p 1 --collisions 50 --format json
+trajectory --p 0.37 --collisions 3000 --wg 0.55
+markovian --p 0 --p 1 --collisions 100
+markovian --p 0.37 --p 0.99 --wg 0.3 --collisions 3000 --format json
+trajectory --p 0.25 --ancillas 2 --seed 9 --collisions 1000 --wg 1
 """.strip().splitlines()]
 
 
