@@ -24,7 +24,6 @@ from .dynamics import (
 )
 from .metrics import BackflowReport, backflow_events, l1_coherence, negativity, trace_distance
 from .model import (
-    CollisionUnitary,
     PureQubit,
     ThermalAncilla,
     composite_initial,
@@ -42,7 +41,6 @@ from .qmat import (
 
 __all__ = [
     "BackflowReport",
-    "CollisionUnitary",
     "InvariantViolationError",
     "OrbitDiagram",
     "PureQubit",

@@ -160,7 +160,7 @@ def check_register(rho: np.ndarray) -> None:
 def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
     """Apply one pairwise collision to the (2**n, 2**n) density matrix of an n-qubit register."""
     rho = np.asarray(rho)
-    u = pair_collision_unitary(_register_qubits(rho), pair, p).matrix
+    u = pair_collision_unitary(_register_qubits(rho), pair, p)
     return u @ rho @ u.conj().T
 
 
@@ -212,18 +212,17 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
     array of each ``names`` column over the half-open ``window`` (default: all), and the final states.
 
     The (P, B, d, d) stack steps collision k with ``steps[index[k]]``: the pair's (P, d, d)
-    unitaries, each built once, with the initial states promoted to their dtype; or, for a
+    unitaries, built in one call, with the initial states promoted to their dtype; or, for a
     one-pair table, ``step``, which must keep its input's dtype. The initial states are a chunk
     of their own; the stacks after each collision follow in chunks of about CHECK_CHUNK_ENTRIES
     entries, which bound the memory. One ``_first_violation`` call checks each chunk at every grid
     point and copy before any metric of it is computed, scanning a failed chunk in (step, grid
     point, copy) order: a violation names the first failing step, its pair, and then the lowest
     failing grid index (its p) and copy. Each chunk then gets one system reduction and one call
-    of each named ``_COLUMNS`` entry. Every array returned is read-only.
+    of each named ``_COLUMNS`` entry. Every array returned is read-only and C-contiguous.
     """
     if step is None:
-        us = np.array([[pair_collision_unitary(schedule.n_qubits, pair, p).matrix for p in ps]
-                       for pair in schedule.pairs])[:, :, np.newaxis]
+        us = np.array([pair_collision_unitary(schedule.n_qubits, pair, ps) for pair in schedule.pairs])[:, :, None]
         initials = initials.astype(np.result_type(initials, us))
         steps = [lambda rhos, u=u, uh=uh: u @ rhos @ uh for u, uh in zip(us, us.conj().swapaxes(-1, -2))]
     else:
@@ -241,7 +240,7 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
         n += len(states)
         block = schedule.index[n - 1:n - 1 + chunk].tolist()
         if not block:
-            columns = {name: np.reshape(v, (-1, len(ps))).T for name, v in flat.items()}
+            columns = {name: np.ascontiguousarray(np.reshape(v, (-1, len(ps))).T) for name, v in flat.items()}
             for array in (*columns.values(), rhos):
                 array.flags.writeable = False
             return columns, rhos

@@ -7,7 +7,6 @@ environment ancillas. Basis ordering is big-endian over the qubit list
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,16 +49,6 @@ class ThermalAncilla:
             )
 
 
-@dataclass(frozen=True)
-class CollisionUnitary:
-    """Unitary acting on a register, coupling one qubit pair with strength p."""
-
-    matrix: np.ndarray
-    pair: tuple[int, int]
-    p: float
-    n_qubits: int
-
-
 def pure_qubit_density(q: PureQubit) -> np.ndarray:
     """Rank-1 projector of a pure qubit; entry (0, 1) is a * conj(b)."""
     vec = qmat.as_array([q.a, q.b])
@@ -80,28 +69,31 @@ def check_pair(n_qubits: int, pair) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p: float) -> CollisionUnitary:
-    """Build the excitation-exchange collision unitary for one qubit pair.
+def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p) -> np.ndarray:
+    """Build the real orthogonal excitation-exchange collision unitary for one qubit pair.
 
     Basis states where the pair is doubly ground or doubly excited are left
     fixed, as are all spectator qubits. A single excitation within the pair
     hops to the other qubit with amplitude sqrt(p) and stays with amplitude
     sqrt(1-p); the hop sourced from the higher-indexed qubit of the pair
     carries a minus sign, its reverse a plus sign, making the matrix real
-    orthogonal.
+    orthogonal. An array of p gives the stack of their matrices, of shape
+    ``p.shape + (d, d)``, each bit for bit the matrix of that p alone.
     """
     i, j = check_pair(n_qubits, pair)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"interaction probability must lie in [0, 1], got {p}")
+    ps = np.asarray(p, dtype=float)
+    bad = ps[~((0.0 <= ps) & (ps <= 1.0))]
+    if bad.size:
+        raise ValueError(f"interaction probability must lie in [0, 1], got {p if ps.ndim == 0 else bad[0]}")
     bit_i, bit_j = 1 << (n_qubits - 1 - i), 1 << (n_qubits - 1 - j)
-    stay, hop = math.sqrt(1.0 - p), math.sqrt(p)
+    stay, hop = np.sqrt(1.0 - ps)[..., np.newaxis], np.sqrt(ps)[..., np.newaxis]
     m = np.arange(2 ** n_qubits)
     exc_i, exc_j = (m & bit_i) != 0, (m & bit_j) != 0
     singles = m[exc_i != exc_j]  # basis states with one excitation in the pair
-    u = np.zeros((len(m), len(m)))
-    u[m, m] = np.where(exc_i != exc_j, stay, 1.0)
-    u[singles ^ bit_i ^ bit_j, singles] = np.where(exc_j[singles], -hop, hop)
-    return CollisionUnitary(matrix=u, pair=(i, j), p=float(p), n_qubits=n_qubits)
+    u = np.zeros(ps.shape + (len(m), len(m)))
+    u[..., m, m] = np.where(exc_i != exc_j, stay, 1.0)
+    u[..., singles ^ bit_i ^ bit_j, singles] = np.where(exc_j[singles], -hop, hop)
+    return u
 
 
 def composite_initial(system: PureQubit, ancillas: list[ThermalAncilla] | tuple[ThermalAncilla, ...]) -> np.ndarray:

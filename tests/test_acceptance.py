@@ -167,16 +167,16 @@ def test_criterion_8_structural_oracles():
         eye = np.eye(2 ** n_qubits)
         for pair in itertools.combinations(range(n_qubits), 2):
             for p in p_grid:
-                u = model.pair_collision_unitary(n_qubits, pair, p).matrix
+                u = model.pair_collision_unitary(n_qubits, pair, p)
                 if np.max(np.abs(u @ u.conj().T - eye)) >= 1e-12:
                     unitary_ok = False
 
     printed_ok = all(
         np.array_equal(
-            model.pair_collision_unitary(2, (0, 1), p).matrix, lit.u4_system_ancilla(p)
+            model.pair_collision_unitary(2, (0, 1), p), lit.u4_system_ancilla(p)
         )
         and np.array_equal(
-            model.pair_collision_unitary(3, (0, 1), p).matrix, lit.u8_ab(p)
+            model.pair_collision_unitary(3, (0, 1), p), lit.u8_ab(p)
         )
         for p in (0.25, 0.5, 0.8)
     )
@@ -190,7 +190,7 @@ def test_criterion_8_structural_oracles():
         math.sqrt(1 - w_g) * np.array([[math.sqrt(1 - p), 0], [0, 1]], dtype=complex),
         math.sqrt(1 - w_g) * np.array([[0, 0], [-math.sqrt(p), 0]], dtype=complex),
     ]
-    u = model.pair_collision_unitary(2, (0, 1), p).matrix
+    u = model.pair_collision_unitary(2, (0, 1), p)
     for _ in range(20):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = m @ m.conj().T

@@ -6,8 +6,6 @@ and require the violation to name the same step, pair, p and copy that a
 check after every single collision would name.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -26,16 +24,16 @@ CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (2 * 8 * 8)
 
 
 def corrupt(monkeypatch, factors):
-    """Make pair_collision_unitary return ``matrix @ factor`` for each factor given
-    for a pair, ``factors[pair]``, or for a pair at one p, ``factors[pair, p]``."""
+    """Make pair_collision_unitary return ``u @ factor`` for each factor given for a
+    pair, ``factors[pair]``, or for a pair at one p, ``factors[pair, p]``; a p grid
+    gets each row's factor."""
     real = dynamics.pair_collision_unitary
 
-    def patched(n_qubits, pair, p):
-        cu = real(n_qubits, pair, p)
-        factor = factors.get((tuple(pair), p), factors.get(tuple(pair)))
-        if factor is not None:
-            return dataclasses.replace(cu, matrix=cu.matrix @ factor)
-        return cu
+    def patched(n_qubits, pair, ps):
+        us = real(n_qubits, pair, ps)
+        rows = us.reshape((-1,) + us.shape[-2:])
+        keys = [factors.get((tuple(pair), p), factors.get(tuple(pair))) for p in np.ravel(ps)]
+        return np.reshape([u if factor is None else u @ factor for u, factor in zip(rows, keys)], us.shape)
 
     monkeypatch.setattr(dynamics, "pair_collision_unitary", patched)
 
@@ -182,8 +180,7 @@ class TestExitFourStderr:
         real = dynamics.pair_collision_unitary
 
         def scaled(n_qubits, pair, p):
-            cu = real(n_qubits, pair, p)
-            return dataclasses.replace(cu, matrix=10 * cu.matrix)
+            return 10 * real(n_qubits, pair, p)
 
         monkeypatch.setattr(dynamics, "pair_collision_unitary", scaled)
         out = tmp_path / "out.csv"

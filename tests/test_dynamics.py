@@ -536,6 +536,7 @@ def test_results_are_read_only():
     diagram = dynamics.orbit_sweep([0.5, 0.8], 10)
     with pytest.raises(ValueError, match="read-only"):
         diagram.values[0, 0] = 7.0
+    assert diagram.values.flags.c_contiguous
 
 
 def assert_columns(traj, fields, n_rows):

@@ -4,8 +4,6 @@ Every register copy is checked for trace, Hermiticity and positivity after
 every collision, and a failure names the step, the pair, p and the copy.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,14 +19,14 @@ KET_MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 
 
 def corrupt_pair(monkeypatch, bad_pair, factor):
-    """Make pair_collision_unitary return ``matrix @ factor`` for one pair."""
+    """Make pair_collision_unitary return ``u @ factor`` for one pair."""
     real = dynamics.pair_collision_unitary
 
     def patched(n_qubits, pair, p):
-        cu = real(n_qubits, pair, p)
+        u = real(n_qubits, pair, p)
         if tuple(pair) == bad_pair:
-            return dataclasses.replace(cu, matrix=cu.matrix @ factor)
-        return cu
+            return u @ factor
+        return u
 
     monkeypatch.setattr(dynamics, "pair_collision_unitary", patched)
 

@@ -83,7 +83,7 @@ class TestNegativity:
     def test_single_collision_peak(self):
         # One half-strength collision on the standard preparation entangles
         # system and ancilla to about 0.13.
-        u = model.pair_collision_unitary(2, (0, 1), 0.5).matrix
+        u = model.pair_collision_unitary(2, (0, 1), 0.5)
         reg = model.composite_initial(
             model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8, 0.2)]
         )
@@ -100,7 +100,7 @@ class TestNegativity:
         anc = model.ThermalAncilla(0.8, 0.2)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc, anc])
         assert metrics.negativity(reg, (2, 4)) < 1e-10
-        u = model.pair_collision_unitary(3, (0, 1), 0.5).matrix
+        u = model.pair_collision_unitary(3, (0, 1), 0.5)
         entangled = u @ reg @ u.conj().T
         assert metrics.negativity(entangled, (2, 4)) > 0.05
 

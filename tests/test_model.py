@@ -85,19 +85,19 @@ class TestThermalAncilla:
 class TestPairCollisionUnitary:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_two_qubit_literal_matrix(self, p):
-        built = model.pair_collision_unitary(2, (0, 1), p).matrix
+        built = model.pair_collision_unitary(2, (0, 1), p)
         np.testing.assert_array_equal(built, lit.u4_system_ancilla(p))
 
     @pytest.mark.parametrize("pair", list(lit.EIGHT_BY_PAIR))
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
     def test_three_qubit_literal_matrices(self, pair, p):
-        built = model.pair_collision_unitary(3, pair, p).matrix
+        built = model.pair_collision_unitary(3, pair, p)
         np.testing.assert_array_equal(built, lit.EIGHT_BY_PAIR[pair](p))
 
     @pytest.mark.parametrize("pair", list(lit.SIXTEEN_BY_PAIR))
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
     def test_four_qubit_literal_matrices(self, pair, p):
-        built = model.pair_collision_unitary(4, pair, p).matrix
+        built = model.pair_collision_unitary(4, pair, p)
         np.testing.assert_array_equal(built, lit.SIXTEEN_BY_PAIR[pair](p))
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
@@ -105,16 +105,16 @@ class TestPairCollisionUnitary:
         eye = np.eye(2 ** n_qubits)
         for pair in itertools.combinations(range(n_qubits), 2):
             for p in P_GRID:
-                u = model.pair_collision_unitary(n_qubits, pair, p).matrix
+                u = model.pair_collision_unitary(n_qubits, pair, p)
                 assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-12
 
     def test_zero_probability_is_identity(self):
         for n_qubits in (2, 3, 4):
-            u = model.pair_collision_unitary(n_qubits, (0, n_qubits - 1), 0.0).matrix
+            u = model.pair_collision_unitary(n_qubits, (0, n_qubits - 1), 0.0)
             np.testing.assert_array_equal(u, np.eye(2 ** n_qubits))
 
     def test_fixes_double_ground_and_double_excited(self):
-        u = model.pair_collision_unitary(3, (0, 2), 0.7).matrix
+        u = model.pair_collision_unitary(3, (0, 2), 0.7)
         for m in range(8):
             bit_i, bit_j = bool(m & 4), bool(m & 1)
             if bit_i == bit_j:
@@ -125,14 +125,14 @@ class TestPairCollisionUnitary:
     def test_sign_convention(self):
         # The hop amplitude out of "excitation on the second (higher) qubit
         # of the pair" is negative; the reverse hop is positive.
-        u = model.pair_collision_unitary(2, (0, 1), 0.5).matrix
+        u = model.pair_collision_unitary(2, (0, 1), 0.5)
         assert u[2, 1] == pytest.approx(-math.sqrt(0.5))
         assert u[1, 2] == pytest.approx(math.sqrt(0.5))
 
     def test_spectators_untouched_by_kron_embedding(self):
         for p in (0.3, 0.8):
-            small = model.pair_collision_unitary(2, (0, 1), p).matrix
-            embedded = model.pair_collision_unitary(3, (0, 1), p).matrix
+            small = model.pair_collision_unitary(2, (0, 1), p)
+            embedded = model.pair_collision_unitary(3, (0, 1), p)
             np.testing.assert_allclose(embedded, np.kron(small, np.eye(2)), atol=1e-14)
 
     def test_rejects_bad_pair(self):
@@ -148,12 +148,6 @@ class TestPairCollisionUnitary:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError, match="n_qubits"):
             model.pair_collision_unitary(5, (0, 1), 0.5)
-
-    def test_metadata(self):
-        cu = model.pair_collision_unitary(3, (1, 2), 0.4)
-        assert cu.pair == (1, 2)
-        assert cu.p == 0.4
-        assert cu.n_qubits == 3
 
 
 class TestCompositeInitial:
@@ -212,7 +206,7 @@ class TestReducedChannel:
         kraus = thermal_collision_kraus(p, w_g)
         total = sum(k.conj().T @ k for k in kraus)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-14)
-        u = model.pair_collision_unitary(2, (0, 1), p).matrix
+        u = model.pair_collision_unitary(2, (0, 1), p)
         thermal = np.diag([w_g, 1 - w_g]).astype(complex)
         rng = np.random.default_rng(97)
         for _ in range(20):
@@ -230,7 +224,7 @@ class TestReducedChannel:
         obs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         obs = (obs + obs.conj().T) / 2
         full_obs = np.kron(np.eye(4), obs)
-        u = model.pair_collision_unitary(3, (0, 1), 0.6).matrix
+        u = model.pair_collision_unitary(3, (0, 1), 0.6)
         before = np.trace(rho @ full_obs)
         after = np.trace(u @ rho @ u.conj().T @ full_obs)
         assert abs(after - before) < 1e-12

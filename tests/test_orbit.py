@@ -1,8 +1,6 @@
 """The orbit sweep: windowed values equal the full trajectory's coherence,
 no other metric is computed, and every collision is still checked."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -70,11 +68,8 @@ class TestEveryStepChecked:
         bad_p = cli.parse_grid(spec)[10]
         real = dynamics.pair_collision_unitary
 
-        def patched(n_qubits, pair, p):
-            cu = real(n_qubits, pair, p)
-            if p == bad_p:
-                return dataclasses.replace(cu, matrix=1.01 * cu.matrix)
-            return cu
+        def patched(n_qubits, pair, ps):
+            return np.array([1.01 * u if p == bad_p else u for u, p in zip(real(n_qubits, pair, ps), ps)])
 
         monkeypatch.setattr(dynamics, "pair_collision_unitary", patched)
         out = tmp_path / "orbit.csv"

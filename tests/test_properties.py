@@ -3,15 +3,20 @@ and the stack-aware metrics."""
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide import dynamics, metrics, model, qmat
 
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+# Interaction probabilities, with the ends of [0, 1] and the values next to them.
+unit_floats = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1 - 2 ** -53]))
 
 registers_and_pairs = st.integers(2, 4).flatmap(
     lambda n: st.tuples(st.just(n), st.sampled_from(list(itertools.combinations(range(n), 2))))
@@ -31,11 +36,20 @@ qubit_states = st.builds(
 
 
 @PROPERTY
-@given(register_pair=registers_and_pairs, p=st.floats(0.0, 1.0))
-def test_collision_unitary_is_unitary(register_pair, p):
+@given(register_pair=registers_and_pairs, ps=st.lists(unit_floats, min_size=1, max_size=8), data=st.data())
+def test_collision_unitary_is_unitary(register_pair, ps, data):
+    # A p grid builds the stack of its values' matrices, each bit for bit (signs of zero
+    # too) the matrix of that p alone, and names its first value outside [0, 1].
     n, pair = register_pair
-    u = model.pair_collision_unitary(n, pair, p).matrix
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(2 ** n), rtol=0.0, atol=1e-14)
+    us = model.pair_collision_unitary(n, pair, ps)
+    assert us.shape == (len(ps), 2 ** n, 2 ** n)
+    for u, p in zip(us, ps):
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2 ** n), rtol=0.0, atol=1e-14)
+        assert u.tobytes() == model.pair_collision_unitary(n, pair, p).tobytes()
+    bad = data.draw(st.lists(st.floats().filter(lambda x: not 0.0 <= x <= 1.0), min_size=1, max_size=2))
+    at = data.draw(st.integers(0, len(ps)))
+    with pytest.raises(ValueError, match=f"got {re.escape(str(bad[0]))}$"):
+        model.pair_collision_unitary(n, pair, ps[:at] + bad + ps[at:])
 
 
 @PROPERTY
@@ -58,7 +72,7 @@ def test_fresh_ancilla_map_is_the_reduced_collision(rho, p, w_g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
         ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
-    u = model.pair_collision_unitary(2, (0, 1), p).matrix
+    u = model.pair_collision_unitary(2, (0, 1), p)
     joint = u @ np.kron(rho, model.thermal_density(ancilla)) @ u.conj().T
     np.testing.assert_allclose(
         dynamics.markovian_step(rho, p, ancilla),

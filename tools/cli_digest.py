@@ -4,11 +4,11 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 
 Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
 ``bench/workloads.py``'s WORKLOADS at workload seeds 1 and 5, the CASES of
-``tests/test_golden.py``, one three-ancilla JSON run, 16 bad inputs that exit 2
-with the CLI's own messages, two ``--help`` texts, and nine runs at the edges
-where the trace distance of a lone |+> and its parity mirror must equal that of
-a stepped ± pair (p of 0 and 1, w_g below 1/2 and at 1, long runs): 144
-invocations in all. Prints one line per invocation: sha256 of stdout, sha256
+``tests/test_golden.py``, one three-ancilla JSON run, 20 bad inputs that exit 2
+with the CLI's own messages (four of them a p past 1 or NaN, which the collision
+unitary names), two ``--help`` texts, and nine runs at the edges where the trace
+distance of a lone |+> and its parity mirror must equal that of a stepped ± pair
+(p of 0 and 1, w_g below 1/2 and at 1, long runs): 148 invocations in all. Prints one line per invocation: sha256 of stdout, sha256
 of stderr, exit code and argv. The invocations come from this checkout, so
 two trees are compared with
 ``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
@@ -40,6 +40,10 @@ trajectory --p 0.5 --wg 1.5
 markovian --p 0.5 --backflow-tol nan
 markovian --collisions 5
 orbit --p 0.2 --p 0.3
+orbit --p-grid 0.9:1.2:0.1 --collisions 5
+orbit --p-grid 0.98:1.5:0.01 --collisions 3
+orbit --p nan
+trajectory --p 1.0000000000000002 --ancillas 3 --seed 1
 trajectory --help
 markovian --help
 trajectory --p 0.3 --ancillas 2 --seed 5 --collisions 400 --restrict-system-ancilla --wg 0.6
