@@ -149,6 +149,21 @@ class TestPairCollisionUnitary:
         with pytest.raises(ValueError, match="n_qubits"):
             model.pair_collision_unitary(5, (0, 1), 0.5)
 
+    def test_metadata(self):
+        # The plain array carries the register size, the pair and p: it is the real d x d
+        # matrix that couples qubits 1 and 2 alone, and an array of p stacks one per entry.
+        u = model.pair_collision_unitary(3, (1, 2), 0.4)
+        assert u.shape == (8, 8)
+        assert u.dtype == np.float64
+        np.testing.assert_array_equal(
+            u, np.kron(np.eye(2), model.pair_collision_unitary(2, (0, 1), 0.4))
+        )
+        assert u[1, 1] == math.sqrt(0.6)
+        stack = model.pair_collision_unitary(3, (1, 2), np.array([[0.4, 0.9]]))
+        assert stack.shape == (1, 2, 8, 8)
+        np.testing.assert_array_equal(stack[0, 0], u)
+        np.testing.assert_array_equal(stack[0, 1], model.pair_collision_unitary(3, (1, 2), 0.9))
+
 
 class TestCompositeInitial:
     def test_single_ancilla_product(self):
