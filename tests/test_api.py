@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import types
 
+import pytest
+
 import qcollide
 
 
@@ -30,4 +32,9 @@ def test_public_surface_is_pinned():
         for cls in filter(inspect.isclass, objects)
         for name, member in vars(cls).items()
     )
-    assert (len(qcollide.__all__), defaults, fields, methods) == (32, 8, 18, 1)
+    assert (len(qcollide.__all__), defaults, fields, methods) == (30, 8, 18, 1)
+
+
+def test_invariant_violation_error_needs_its_location():
+    with pytest.raises(TypeError):
+        qcollide.InvariantViolationError("trace drifted")

@@ -349,7 +349,7 @@ class TestOutputPlumbing:
 
     def test_invariant_violation_exits_four(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
-            raise cli.InvariantViolationError("positivity drifted")
+            raise cli.InvariantViolationError("positivity drifted", step=1, pair=(0, 1), p=0.5, copy=0)
 
         monkeypatch.setattr(cli, "run_trajectory", explode)
         code = cli.main(["trajectory", "--p", "0.5", "--collisions", "3"])

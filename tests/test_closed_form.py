@@ -12,6 +12,7 @@ import closed_form
 from closed_form import AMPLITUDE
 from csv_output import read_csv_output
 from qcollide import analysis, cli, dynamics, model
+from reference_steps import collide
 
 PAIR = (dynamics.SUPERPOSITION_PLUS, dynamics.SUPERPOSITION_MINUS)
 NAMES = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
@@ -39,7 +40,7 @@ class TestOracle:
             rho0 = model.composite_initial(system, [model.ThermalAncilla(w_g, 1.0 - w_g)])
             rho = closed_form.register(system.a, system.b, w_g, p, [0, 1])
             np.testing.assert_allclose(rho[0], rho0, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(rho[1], dynamics.collide(rho0, (0, 1), p), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rho[1], collide(rho0, (0, 1), p), rtol=0, atol=1e-15)
 
 
 class TestRunAgainstClosedForm:
