@@ -398,6 +398,16 @@ class TestMarkovian:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-13)
         assert qmat.hermitian_eigenvalues(out)[0] >= -1e-12
 
+    @pytest.mark.parametrize("rho", [
+        np.eye(3) / 3, np.eye(4) / 4, np.full((2, 3), 0.5), np.zeros((0, 0)),
+        np.full((1, 2), 0.5), np.full((2, 1), 0.5), np.array([0.5, 0.5]),
+    ], ids=["3x3", "4x4", "2x3", "0x0", "1x2", "2x1", "vector"])
+    def test_rejects_a_matrix_that_is_not_a_qubit_state(self, rho):
+        # 1x2 and 2x1 broadcast against the 2x2 map, so without the check
+        # they would come back as a 2x2 "state".
+        with pytest.raises(ValueError, match=rf"^expected single-qubit states, got shape {re.escape(str(rho.shape))}$"):
+            dynamics.markovian_step(rho, 0.5, ANC)
+
     def test_distance_decays_to_zero(self):
         traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, 60)
         d = traj.columns["trace_distance"]
