@@ -158,7 +158,7 @@ def _ancilla(args) -> ThermalAncilla:
         raise ValueError(f"--wg must lie in [0, 1], got {args.wg}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ancilla = ThermalAncilla(args.wg, 1.0 - args.wg)
+        ancilla = ThermalAncilla(args.wg)
     for warning in caught:
         print(f"qcollide: warning: {warning.message}", file=sys.stderr)
     return ancilla
@@ -214,7 +214,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
             raise ValueError(f"--seed must be >= 0, got {seed}")
         schedule = random_schedule(1 + args.ancillas, args.collisions, seed,
                                    system_ancilla_only=args.restrict_system_ancilla)
-    traj = run_trajectory(SUPERPOSITION_PLUS, [ancilla] * args.ancillas, p, schedule)
+    traj = run_trajectory(SUPERPOSITION_PLUS, ancilla, p, schedule)
     header = {
         "command": "trajectory",
         "scenario": "single" if args.ancillas == 1 else "multi",

@@ -37,7 +37,7 @@ CHECK_CHUNK_ENTRIES = 2 ** 13
 SUPERPOSITION_PLUS = PureQubit(2 ** -0.5, 2 ** -0.5)
 SUPERPOSITION_MINUS = PureQubit(2 ** -0.5, -(2 ** -0.5))
 
-DEFAULT_ANCILLA = ThermalAncilla(0.8, 0.2)
+DEFAULT_ANCILLA = ThermalAncilla(0.8)
 
 
 class InvariantViolationError(RuntimeError):
@@ -234,24 +234,23 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
             )
 
 
-def run_trajectory(systems, ancillas, p: float, schedule: Schedule) -> Trajectory:
+def run_trajectory(systems, ancilla: ThermalAncilla, p: float, schedule: Schedule) -> Trajectory:
     """Evolve one register (or a pair sharing the schedule) and record metrics.
 
     ``systems`` is a single pure system state or a pair of them; with a pair,
-    both registers see the identical collision sequence. The trace distance
-    of the reduced system states is recorded at every step: of the pair, or
-    of a single state and its parity mirror Z rho_S Z, the run of Z|psi>.
+    both registers see the identical collision sequence. A register is its
+    system state and ``schedule.n_qubits - 1`` copies of ``ancilla``. The trace
+    distance of the reduced system states is recorded at every step: of the
+    pair, or of a single state and its parity mirror Z rho_S Z, the run of Z|psi>.
     The copies are the one-grid-point case of ``_run``, so every copy is
     checked after every collision before any metric of it is computed; a
     violation names the first failing step, the pair, p and copy.
     """
     states = _system_states(systems)
-    anc = (ancillas,) if isinstance(ancillas, ThermalAncilla) else tuple(ancillas)
-    if schedule.n_qubits != 1 + len(anc):
-        raise ValueError(f"schedule is for {schedule.n_qubits} qubits but register has {1 + len(anc)}")
     names = ["coherence_a", "coherence_env", "negativity"] if schedule.n_qubits == 2 else ["coherence_a"]
     names += ["trace_distance"]
-    columns, rhos = _run(np.stack([composite_initial(s, anc) for s in states]), [p], schedule, names)
+    initials = np.stack([composite_initial(s, [ancilla] * (schedule.n_qubits - 1)) for s in states])
+    columns, rhos = _run(initials, [p], schedule, names)
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
 

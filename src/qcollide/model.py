@@ -32,21 +32,22 @@ class PureQubit:
 
 @dataclass(frozen=True)
 class ThermalAncilla:
-    """Diagonal single-qubit thermal state with ground/excited weights."""
+    """Diagonal single-qubit thermal state of ground weight ``w_g``; ``w_e`` is ``1 - w_g``."""
 
     w_g: float
-    w_e: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.w_g <= 1.0 and 0.0 <= self.w_e <= 1.0):
-            raise ValueError(f"weights must lie in [0, 1], got ({self.w_g}, {self.w_e})")
-        if abs(self.w_g + self.w_e - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"weights must sum to 1, got {self.w_g + self.w_e!r}")
+        if not 0.0 <= self.w_g <= 1.0:
+            raise ValueError(f"w_g must lie in [0, 1], got {self.w_g}")
         if self.w_e > self.w_g:
             warnings.warn(
                 "ancilla has inverted populations (w_e > w_g), i.e. negative temperature",
                 stacklevel=3,
             )
+
+    @property
+    def w_e(self) -> float:
+        return 1.0 - self.w_g
 
 
 def pure_qubit_density(q: PureQubit) -> np.ndarray:

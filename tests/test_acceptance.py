@@ -13,7 +13,7 @@ from reference_steps import collide
 HALF = 1 / math.sqrt(2)
 PLUS = dynamics.SUPERPOSITION_PLUS
 MINUS = dynamics.SUPERPOSITION_MINUS
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 
 THREE_LEVELS = np.array([0.0, HALF, 1.0])
 
@@ -28,7 +28,7 @@ def _paired_run(p, n_collisions, n_ancillas=1, seed=None):
         sched = dynamics.repeated_schedule(2, (0, 1), n_collisions)
     else:
         sched = dynamics.random_schedule(1 + n_ancillas, n_collisions, seed=seed)
-    return dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_ancillas, p, sched)
+    return dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
 
 
 def _clusters_match(series, targets, tol):

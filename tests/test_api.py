@@ -32,7 +32,7 @@ def test_public_surface_is_pinned():
         for cls in filter(inspect.isclass, objects)
         for name, member in vars(cls).items()
     )
-    assert (len(qcollide.__all__), defaults, fields, methods) == (30, 8, 18, 1)
+    assert (len(qcollide.__all__), defaults, fields, methods) == (30, 8, 17, 2)
 
 
 def test_invariant_violation_error_needs_its_location():

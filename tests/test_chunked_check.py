@@ -14,7 +14,7 @@ from reference_steps import collide
 
 PLUS = dynamics.SUPERPOSITION_PLUS
 MINUS = dynamics.SUPERPOSITION_MINUS
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 PAIR = (PLUS, MINUS)
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -59,7 +59,7 @@ def schedule_of(n_qubits, events):
 def violation(events, p=0.5, ancillas=2):
     schedule = schedule_of(1 + ancillas, events)
     with pytest.raises(dynamics.InvariantViolationError) as info:
-        dynamics.run_trajectory(PAIR, [ANC] * ancillas, p, schedule)
+        dynamics.run_trajectory(PAIR, ANC, p, schedule)
     return info.value
 
 

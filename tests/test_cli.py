@@ -7,7 +7,7 @@ import pytest
 
 from csv_output import read_csv_output
 import qcollide
-from qcollide import cli
+from qcollide import cli, dynamics
 
 HALF = 1 / math.sqrt(2)
 
@@ -293,6 +293,36 @@ class TestMarkovianCommand:
         assert code == 2
         assert "give either --p or --p-grid, not both" in capsys.readouterr().err
         assert not path.exists()
+
+
+class TestDefaultAncilla:
+    # The CLI's default --wg builds the library's DEFAULT_ANCILLA, so a default
+    # run prints, to the last bit, the values of the same run in the library.
+    def read(self, argv, tmp_path, *names):
+        code, path = run(argv, tmp_path)
+        assert code == 0
+        _, columns, rows = read_csv_output(str(path))
+        return [np.array(column(rows, columns, name)) for name in names]
+
+    def test_orbit(self, tmp_path):
+        (values,) = self.read(["orbit", "--p-grid", "0.5:0.85:0.005", "--collisions", "100"], tmp_path, "value")
+        diagram = qcollide.orbit_sweep(cli.parse_grid("0.5:0.85:0.005"))
+        assert np.array_equal(values, diagram.values.ravel())
+
+    def test_three_ancilla_trajectory(self, tmp_path):
+        argv = ["trajectory", "--p", "0.5", "--ancillas", "3", "--seed", "7", "--collisions", "300"]
+        got = self.read(argv, tmp_path, "coherence_A", "trace_distance")
+        traj = qcollide.run_trajectory(dynamics.SUPERPOSITION_PLUS, dynamics.DEFAULT_ANCILLA,
+                                       0.5, qcollide.random_schedule(4, 300, 7))
+        for cli_values, name in zip(got, ["coherence_a", "trace_distance"], strict=True):
+            assert np.array_equal(cli_values, traj.columns[name]), name
+
+    def test_markovian(self, tmp_path):
+        got = self.read(["markovian", "--p", "0.3", "--collisions", "500"], tmp_path, "trace_distance", "coherence")
+        traj = qcollide.markovian_trajectory(dynamics.SUPERPOSITION_PLUS, 0.3,
+                                             dynamics.DEFAULT_ANCILLA, 500)
+        for cli_values, name in zip(got, ["trace_distance", "coherence_a"], strict=True):
+            assert np.array_equal(cli_values, traj.columns[name]), name
 
 
 class TestWindowRange:

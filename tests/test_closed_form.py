@@ -37,7 +37,7 @@ class TestOracle:
     @given(p=probabilities, w_g=ground_weights)
     def test_zero_and_one_collision(self, p, w_g):
         for system in PAIR:
-            rho0 = model.composite_initial(system, [model.ThermalAncilla(w_g, 1.0 - w_g)])
+            rho0 = model.composite_initial(system, [model.ThermalAncilla(w_g)])
             rho = closed_form.register(system.a, system.b, w_g, p, [0, 1])
             np.testing.assert_allclose(rho[0], rho0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rho[1], collide(rho0, (0, 1), p), rtol=0, atol=1e-15)
@@ -47,7 +47,7 @@ class TestRunAgainstClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(n=collision_counts, p=probabilities, w_g=ground_weights)
     def test_every_column_and_final_register(self, n, p, w_g):
-        traj = dynamics.run_trajectory(PAIR, model.ThermalAncilla(w_g, 1.0 - w_g), p,
+        traj = dynamics.run_trajectory(PAIR, model.ThermalAncilla(w_g), p,
                                        dynamics.repeated_schedule(2, (0, 1), n))
         assert list(traj.columns) == NAMES
         expected = closed_form.columns(w_g, p, n)
@@ -64,7 +64,7 @@ class TestRunAgainstClosedForm:
            n=collision_counts, p=probabilities, w_g=ground_weights)
     def test_any_system_state(self, polar, phase, n, p, w_g):
         a, b = math.cos(polar / 2), math.sin(polar / 2) * complex(math.cos(phase), math.sin(phase))
-        ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+        ancilla = model.ThermalAncilla(w_g)
         traj = dynamics.run_trajectory(model.PureQubit(a, b), ancilla, p,
                                        dynamics.repeated_schedule(2, (0, 1), n))
         rho = closed_form.register(a, b, w_g, p, np.arange(n + 1))

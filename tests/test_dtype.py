@@ -13,7 +13,7 @@ from reference_steps import collide, violation
 
 PLUS = dynamics.SUPERPOSITION_PLUS
 MINUS = dynamics.SUPERPOSITION_MINUS
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 PHASED = model.PureQubit(2 ** -0.5, 2 ** -0.5 * np.exp(0.4j))
 # The same states as PLUS and MINUS, written as complex numbers.
 COMPLEX_PAIR = (model.PureQubit(complex(2 ** -0.5), complex(2 ** -0.5)),
@@ -49,7 +49,7 @@ class TestRealInputsStayReal:
 
     def test_states_are_real(self):
         assert model.pure_qubit_density(PLUS).dtype == np.float64
-        assert model.thermal_density(model.ThermalAncilla(1, 0)).dtype == np.float64
+        assert model.thermal_density(model.ThermalAncilla(1)).dtype == np.float64
         assert model.composite_initial(MINUS, [ANC] * 3).dtype == np.float64
 
     def test_collide_and_markovian_step_are_real(self):
@@ -59,7 +59,7 @@ class TestRealInputsStayReal:
 
     @pytest.mark.parametrize("schedule", schedules(), ids=["one-ancilla", "three-ancillas"])
     def test_final_registers_are_real(self, schedule):
-        traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * (schedule.n_qubits - 1), 0.6, schedule)
+        traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.6, schedule)
         assert all(r.dtype == np.float64 for r in traj.final_registers)
 
     def test_markovian_final_states_are_real(self):
@@ -76,14 +76,13 @@ class TestComplexInputsRunComplex:
 
     @pytest.mark.parametrize("schedule", schedules(), ids=["one-ancilla", "three-ancillas"])
     def test_phased_run_is_complex(self, schedule):
-        traj = dynamics.run_trajectory((PHASED, MINUS), [ANC] * (schedule.n_qubits - 1), 0.6, schedule)
+        traj = dynamics.run_trajectory((PHASED, MINUS), ANC, 0.6, schedule)
         assert all(r.dtype == np.complex128 for r in traj.final_registers)
 
     @pytest.mark.parametrize("schedule", schedules(), ids=["one-ancilla", "three-ancillas"])
     def test_complex_typed_amplitudes_match_the_real_run(self, schedule):
-        ancillas = [ANC] * (schedule.n_qubits - 1)
-        real = dynamics.run_trajectory((PLUS, MINUS), ancillas, 0.8, schedule)
-        cplx = dynamics.run_trajectory(COMPLEX_PAIR, ancillas, 0.8, schedule)
+        real = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.8, schedule)
+        cplx = dynamics.run_trajectory(COMPLEX_PAIR, ANC, 0.8, schedule)
         assert list(real.columns) == list(cplx.columns)
         for name, column in real.columns.items():
             np.testing.assert_allclose(cplx.columns[name], column, rtol=0, atol=1e-15, err_msg=name)
@@ -111,9 +110,9 @@ class TestComplexInputsRunComplex:
             return u
 
         schedule = dynamics.Schedule(3, ((1, 2), (0, 2), (0, 1)), [0, 1, 2] * 5)
-        want = dynamics.run_trajectory((PLUS, MINUS), [ANC, ANC], 0.5, schedule)
+        want = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, schedule)
         monkeypatch.setattr(dynamics, "pair_collision_unitary", phased)
-        got = dynamics.run_trajectory((PLUS, MINUS), [ANC, ANC], 0.5, schedule)
+        got = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, schedule)
         assert all(r.dtype == np.complex128 for r in got.final_registers)
         for name, column in want.columns.items():
             np.testing.assert_allclose(got.columns[name], column, rtol=0, atol=1e-14, err_msg=name)
@@ -148,5 +147,5 @@ class TestRealMetricsAndChecks:
 
         monkeypatch.setattr(dynamics, "pair_collision_unitary", scaled)
         with pytest.raises(dynamics.InvariantViolationError) as info:
-            dynamics.run_trajectory((PLUS, MINUS), [ANC], 0.5, dynamics.repeated_schedule(2, (0, 1), 3))
+            dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, dynamics.repeated_schedule(2, (0, 1), 3))
         assert_trace_message(str(info.value), "step 1, pair (0, 1), p = 0.5, copy 0: trace drifted to ", 2.25)

@@ -8,13 +8,13 @@ import pytest
 
 import literal_unitaries as lit
 from qcollide import analysis, cli, dynamics, metrics, model, qmat
-from reference_steps import collide, violation
+from reference_steps import collide, purified_run, violation
 
 HALF = 1 / math.sqrt(2)
 
 PLUS = dynamics.SUPERPOSITION_PLUS
 MINUS = dynamics.SUPERPOSITION_MINUS
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 
 
 def random_density(rng, dim):
@@ -141,7 +141,7 @@ def test_non_integer_counts_and_indices_raise_value_error(call):
 class TestCollide:
     def test_double_ground_invariant(self):
         reg = model.composite_initial(
-            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0, 0.0)]
+            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0)]
         )
         out = collide(reg, (0, 1), 0.7)
         np.testing.assert_allclose(out, reg, atol=1e-15)
@@ -191,10 +191,16 @@ class TestRunTrajectory:
         assert all(len(column) == 11 for column in traj.columns.values())
         assert traj.columns["coherence_a"][0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_schedule_mismatch(self):
-        sched = dynamics.repeated_schedule(3, (0, 1), 5)
-        with pytest.raises(ValueError, match="schedule"):
-            dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_schedule_sets_the_ancilla_count(self, n_qubits):
+        # One ancilla state; the register holds n_qubits - 1 copies of it.
+        sched = dynamics.Schedule(n_qubits, tuple(itertools.combinations(range(n_qubits), 2)),
+                                  np.arange(12) % math.comb(n_qubits, 2))
+        traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.6, sched)
+        _, want = purified_run((PLUS, MINUS), [ANC] * (n_qubits - 1), 0.6, sched)
+        for got, reg in zip(traj.final_registers, want, strict=True):
+            assert got.shape == (2 ** n_qubits, 2 ** n_qubits)
+            np.testing.assert_allclose(got, reg, rtol=0, atol=1e-13)
 
     def test_paired_records_trace_distance(self):
         sched = dynamics.repeated_schedule(2, (0, 1), 8)
@@ -250,7 +256,7 @@ class TestRunTrajectory:
         oracle_rho_a = qmat.partial_trace(rho, [2] * 4, keep=0)
 
         sched = dynamics.Schedule(n_qubits=4, pairs=tuple(order), index=range(len(order)))
-        traj = dynamics.run_trajectory(model.PureQubit(0.6, 0.8), [ANC] * 3, p, sched)
+        traj = dynamics.run_trajectory(model.PureQubit(0.6, 0.8), ANC, p, sched)
         lib_rho_a = qmat.partial_trace(traj.final_registers[0], [2] * 4, keep=0)
         np.testing.assert_allclose(lib_rho_a, oracle_rho_a, atol=1e-13)
         np.testing.assert_allclose(traj.final_registers[0], rho, atol=1e-13)
@@ -261,7 +267,7 @@ class TestRunTrajectory:
             sched = dynamics.repeated_schedule(2, (0, 1), 150)
         else:
             sched = dynamics.random_schedule(1 + n_anc, 150, seed=23)
-        traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, p, sched)
+        traj = dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
         for reg in traj.final_registers:
             assert np.trace(reg).real == pytest.approx(1.0, abs=1e-10)
             assert qmat.hermitian_eigenvalues(reg)[0] > -1e-9
@@ -274,7 +280,7 @@ class TestRunTrajectory:
         else:
             sched = (dynamics.repeated_schedule(2, (0, 1), 5) if n_anc == 1
                      else dynamics.random_schedule(1 + n_anc, 5, seed=23))
-            traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, 0.5, sched)
+            traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
         dim = 2 ** (1 + n_anc)
         assert len(traj.final_registers) == 2
         for reg in traj.final_registers:
@@ -446,7 +452,7 @@ class TestEnvironmentSize:
         # Quick ensemble version; the acceptance suite runs the full one.
         p, n_steps, seeds = 0.5, 100, range(10)
         single = dynamics.run_trajectory(
-            (PLUS, MINUS), [ANC], p, dynamics.repeated_schedule(2, (0, 1), n_steps)
+            (PLUS, MINUS), ANC, p, dynamics.repeated_schedule(2, (0, 1), n_steps)
         )
         mean_1 = float(np.mean(single.columns["trace_distance"][1:]))
         means = {}
@@ -454,7 +460,7 @@ class TestEnvironmentSize:
             totals = []
             for seed in seeds:
                 sched = dynamics.random_schedule(1 + n_anc, n_steps, seed=seed)
-                traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, p, sched)
+                traj = dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
                 totals.append(float(np.mean(traj.columns["trace_distance"][1:])))
             means[n_anc] = float(np.mean(totals))
         assert mean_1 > means[2] > means[3]
@@ -522,7 +528,7 @@ def test_results_compare_by_identity():
 def test_results_are_read_only():
     # A frozen result is read-only all the way down, like Schedule.index.
     sched = dynamics.random_schedule(3, 5, seed=4)
-    for traj in (dynamics.run_trajectory((PLUS, MINUS), [ANC] * 2, 0.5, sched),
+    for traj in (dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched),
                  dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, 5)):
         for array in (*traj.columns.values(), *traj.final_registers):
             with pytest.raises(ValueError, match="read-only"):
@@ -567,7 +573,7 @@ class TestColumns:
             sched = dynamics.repeated_schedule(2, (0, 1), 12)
         else:
             sched = dynamics.random_schedule(1 + n_anc, 12, seed=5)
-        traj = dynamics.run_trajectory((PLUS, MINUS), [ANC] * n_anc, 0.6, sched)
+        traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.6, sched)
         assert_columns(traj, fields, 13)
         seed = [] if n_anc == 1 else ["--seed", "5"]
         argv = ["trajectory", "--p", "0.6", "--ancillas", str(n_anc), "--collisions", "12", *seed]

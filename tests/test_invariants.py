@@ -12,7 +12,7 @@ from reference_steps import collide, violation
 
 PLUS = dynamics.SUPERPOSITION_PLUS
 MINUS = dynamics.SUPERPOSITION_MINUS
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 PAIR = (PLUS, MINUS)
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -108,7 +108,7 @@ class TestEveryCopyEveryStep:
         sched = dynamics.Schedule(3, ((1, 2), (0, 2), (0, 1)), [0] * quiet_steps + [1, 2])
         corrupt_pair(monkeypatch, (0, 2), np.eye(8) + 1e-6 * system_projector(ket, 3))
         with pytest.raises(dynamics.InvariantViolationError) as info:
-            dynamics.run_trajectory(PAIR, [ANC, ANC], 0.5, sched)
+            dynamics.run_trajectory(PAIR, ANC, 0.5, sched)
         assert str(info.value).startswith(
             f"step {quiet_steps + 1}, pair (0, 2), p = 0.5, copy {copy}: trace drifted"
         )
@@ -162,10 +162,10 @@ class TestPositivityFloor:
         monkeypatch.setattr(dynamics, "composite_initial", patched)
         sched = dynamics.random_schedule(4, 20, seed=3)
         if not fails:
-            dynamics.run_trajectory(PAIR, [ANC] * 3, 0.5, sched)
+            dynamics.run_trajectory(PAIR, ANC, 0.5, sched)
             return
         with pytest.raises(dynamics.InvariantViolationError) as info:
-            dynamics.run_trajectory(PAIR, [ANC] * 3, 0.5, sched)
+            dynamics.run_trajectory(PAIR, ANC, 0.5, sched)
         assert str(info.value).startswith("step 1, pair ")
         assert "copy 1: negative eigenvalue -2.000e-09" in str(info.value)
 

@@ -85,7 +85,7 @@ class TestNegativity:
         # system and ancilla to about 0.13.
         u = model.pair_collision_unitary(2, (0, 1), 0.5)
         reg = model.composite_initial(
-            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8, 0.2)]
+            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8)]
         )
         rho1 = u @ reg @ u.conj().T
         value = metrics.negativity(rho1, (2, 2))
@@ -97,7 +97,7 @@ class TestNegativity:
             assert metrics.negativity(random_density(rng, 4), (2, 2)) >= 0.0
 
     def test_system_environment_cut_on_larger_register(self):
-        anc = model.ThermalAncilla(0.8, 0.2)
+        anc = model.ThermalAncilla(0.8)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc, anc])
         assert metrics.negativity(reg, (2, 4)) < 1e-10
         u = model.pair_collision_unitary(3, (0, 1), 0.5)

@@ -51,34 +51,32 @@ class TestPureQubit:
 class TestThermalAncilla:
     def test_density(self):
         np.testing.assert_array_equal(
-            model.thermal_density(model.ThermalAncilla(0.8, 0.2)), np.diag([0.8, 0.2])
+            model.thermal_density(model.ThermalAncilla(0.8)), np.diag([0.8, 1.0 - 0.8])
         )
 
     def test_zero_temperature(self):
         np.testing.assert_array_equal(
-            model.thermal_density(model.ThermalAncilla(1.0, 0.0)), np.diag([1.0, 0.0])
+            model.thermal_density(model.ThermalAncilla(1.0)), np.diag([1.0, 0.0])
         )
 
     def test_infinite_temperature(self):
         np.testing.assert_array_equal(
-            model.thermal_density(model.ThermalAncilla(0.5, 0.5)), np.eye(2) / 2
+            model.thermal_density(model.ThermalAncilla(0.5)), np.eye(2) / 2
         )
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            model.ThermalAncilla(0.8, 0.3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="0, 1"):
-            model.ThermalAncilla(1.2, -0.2)
+            model.ThermalAncilla(1.2)
+        with pytest.raises(ValueError, match="0, 1"):
+            model.ThermalAncilla(float("nan"))
 
     def test_warns_on_population_inversion(self):
         with pytest.warns(UserWarning, match="inverted"):
-            model.ThermalAncilla(0.3, 0.7)
+            model.ThermalAncilla(0.3)
 
     def test_inversion_warning_names_the_caller(self):
         with pytest.warns(UserWarning, match="inverted") as caught:
-            model.ThermalAncilla(0.3, 0.7)
+            model.ThermalAncilla(0.3)
         assert caught[0].filename == __file__
 
 
@@ -168,7 +166,7 @@ class TestPairCollisionUnitary:
 class TestCompositeInitial:
     def test_single_ancilla_product(self):
         reg = model.composite_initial(
-            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8, 0.2)]
+            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8)]
         )
         expected = np.array(
             [
@@ -183,12 +181,12 @@ class TestCompositeInitial:
 
     def test_ground_times_ground(self):
         reg = model.composite_initial(
-            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0, 0.0)]
+            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0)]
         )
         np.testing.assert_array_equal(reg, np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_three_ancillas_marginals(self):
-        anc = model.ThermalAncilla(0.8, 0.2)
+        anc = model.ThermalAncilla(0.8)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc] * 3)
         assert reg.shape == (16, 16)
         for k in (1, 2, 3):
@@ -200,7 +198,7 @@ class TestCompositeInitial:
             model.composite_initial(model.PureQubit(1.0, 0.0), [])
         with pytest.raises(ValueError, match="ancillas"):
             model.composite_initial(
-                model.PureQubit(1.0, 0.0), [model.ThermalAncilla(0.8, 0.2)] * 4
+                model.PureQubit(1.0, 0.0), [model.ThermalAncilla(0.8)] * 4
             )
 
 

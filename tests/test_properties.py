@@ -58,7 +58,7 @@ def test_fresh_ancilla_map_never_raises_the_trace_distance(rho, sigma, p, w_g):
     # The BLP contraction: a CPTP map cannot make two states more distinguishable.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
-        ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+        ancilla = model.ThermalAncilla(w_g)
     before = metrics.trace_distance(rho, sigma)
     after = metrics.trace_distance(
         dynamics.markovian_step(rho, p, ancilla), dynamics.markovian_step(sigma, p, ancilla)
@@ -71,7 +71,7 @@ def test_fresh_ancilla_map_never_raises_the_trace_distance(rho, sigma, p, w_g):
 def test_fresh_ancilla_map_is_the_reduced_collision(rho, p, w_g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
-        ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+        ancilla = model.ThermalAncilla(w_g)
     u = model.pair_collision_unitary(2, (0, 1), p)
     joint = u @ np.kron(rho, model.thermal_density(ancilla)) @ u.conj().T
     np.testing.assert_allclose(
@@ -110,7 +110,7 @@ STACK_AWARE = {
     "hermitian_eigenvalues": (lambda r, s, dims: qmat.hermitian_eigenvalues(r - s), False),
     "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims), False),
     "markovian_step": (
-        lambda r, s, dims: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8, 0.2)), False
+        lambda r, s, dims: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8)), False
     ),
 }
 # Functions of single-qubit states, which are drawn with dims (1, 2) only.
@@ -212,14 +212,14 @@ def test_minus_register_is_the_parity_mirror_of_the_plus_register(
     else:
         schedule = dynamics.random_schedule(n_qubits, n_collisions, seed,
                                             system_ancilla_only=system_ancilla_only)
-    ancilla = model.ThermalAncilla(w_g, 1.0 - w_g)
+    ancilla = model.ThermalAncilla(w_g)
     pair = (psi, model.PureQubit(psi.a, -psi.b))
-    traj = dynamics.run_trajectory(pair, [ancilla] * n_ancillas, p, schedule)
+    traj = dynamics.run_trajectory(pair, ancilla, p, schedule)
     rho, mirror = traj.final_registers
     parity = (-1.0) ** np.array([bin(k).count("1") for k in range(2 ** n_qubits)])
     np.testing.assert_array_equal(parity[:, np.newaxis] * rho * parity, mirror)
     assert np.abs(traj.columns["coherence_a"] - traj.columns["trace_distance"]).max() <= 1e-15
-    for lone, paired in [(dynamics.run_trajectory(psi, [ancilla] * n_ancillas, p, schedule), traj),
+    for lone, paired in [(dynamics.run_trajectory(psi, ancilla, p, schedule), traj),
                          (dynamics.markovian_trajectory(psi, p, ancilla, n_collisions),
                           dynamics.markovian_trajectory(pair, p, ancilla, n_collisions))]:
         assert [(name, c.tolist()) for name, c in lone.columns.items()] == [

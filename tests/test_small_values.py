@@ -11,7 +11,7 @@ import pytest
 from csv_output import read_csv_output
 from qcollide import cli, dynamics, model, qmat
 
-ANC = model.ThermalAncilla(0.8, 0.2)
+ANC = model.ThermalAncilla(0.8)
 N_COLLISIONS = 2000
 
 

@@ -88,9 +88,10 @@ def test_stacked_run_matches_per_copy_collide(
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
-        ancillas = [model.ThermalAncilla(w_g, 1.0 - w_g)] * n_ancillas
+        ancilla = model.ThermalAncilla(w_g)
+    ancillas = [ancilla] * n_ancillas
     schedule = draw_schedule(n_ancillas, n_collisions, seed, system_ancilla_only)
-    traj = dynamics.run_trajectory(states, ancillas, p, schedule)
+    traj = dynamics.run_trajectory(states, ancilla, p, schedule)
     assert_run_matches(traj, n_collisions, *per_copy_run(states, ancillas, p, schedule))
     assert_run_matches(traj, n_collisions, *purified_run(states, ancillas, p, schedule))
 
@@ -109,7 +110,7 @@ def test_long_run_matches_the_purified_oracle(
     p, w_g, n_ancillas, seed, n_collisions, system_ancilla_only, states
 ):
     # Up to 300 collisions against the oracle alone; the per-copy loop above stays short.
-    ancillas = [model.ThermalAncilla(w_g, 1.0 - w_g)] * n_ancillas
+    ancilla = model.ThermalAncilla(w_g)
     schedule = draw_schedule(n_ancillas, n_collisions, seed, system_ancilla_only)
-    traj = dynamics.run_trajectory(states, ancillas, p, schedule)
-    assert_run_matches(traj, n_collisions, *purified_run(states, ancillas, p, schedule))
+    traj = dynamics.run_trajectory(states, ancilla, p, schedule)
+    assert_run_matches(traj, n_collisions, *purified_run(states, [ancilla] * n_ancillas, p, schedule))

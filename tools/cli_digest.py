@@ -8,7 +8,10 @@ Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
 with the CLI's own messages (four of them a p past 1 or NaN, which the collision
 unitary names), two ``--help`` texts, and nine runs at the edges where the trace
 distance of a lone |+> and its parity mirror must equal that of a stepped ± pair
-(p of 0 and 1, w_g below 1/2 and at 1, long runs): 148 invocations in all. Prints one line per invocation: sha256 of stdout, sha256
+(p of 0 and 1, w_g below 1/2 and at 1, long runs), and three runs at the edge of the
+inverted-population warning, where the excited weight 1 - w_g equals or passes w_g
+(w_g of 0.5, 0, and 0.49999999999999994, whose excited weight rounds to 0.5):
+151 invocations in all. Prints one line per invocation: sha256 of stdout, sha256
 of stderr, exit code and argv. The invocations come from this checkout, so
 two trees are compared with
 ``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
@@ -55,6 +58,9 @@ trajectory --p 0.37 --collisions 3000 --wg 0.55
 markovian --p 0 --p 1 --collisions 100
 markovian --p 0.37 --p 0.99 --wg 0.3 --collisions 3000 --format json
 trajectory --p 0.25 --ancillas 2 --seed 9 --collisions 1000 --wg 1
+markovian --p 0.5 --wg 0.5 --collisions 5
+trajectory --p 0.5 --wg 0 --collisions 5
+trajectory --p 0.5 --wg 0.49999999999999994 --collisions 5
 """.strip().splitlines()]
 
 
