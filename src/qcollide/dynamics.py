@@ -174,8 +174,8 @@ def _system_states(systems) -> tuple[PureQubit, ...]:
 # grow with its sample count (ROADMAP).
 _COLUMNS = {
     "coherence_a": lambda part, rho_as: [metrics.l1_coherence(step[:, 0]) for step in rho_as],
-    "coherence_env": lambda part, rho_as: metrics.l1_coherence(qmat.partial_trace(part[:, :, 0], [2, 2], keep=1)),
-    "negativity": lambda part, rho_as: metrics.negativity(part[:, :, 0], (2, 2)),
+    "coherence_env": lambda part, rho_as: metrics.l1_coherence(qmat.partial_trace(part[:, :, 0], keep=1)),
+    "negativity": lambda part, rho_as: metrics.negativity(part[:, :, 0]),
     "trace_distance": lambda part, rho_as: [metrics.trace_distance(a, b) for a, b in zip(
         rho_as[:, :, 0], rho_as[:, :, 1] if rho_as.shape[2] == 2 else rho_as[:, :, 0] * [[1, -1], [-1, 1]])],
 }
@@ -208,7 +208,7 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
     n, states = 0, rhos[np.newaxis]  # states[k] is the stack after collision n + k
     while True:
         part = states[max(0, start - n):max(0, min(stop - n, len(states)))]
-        rho_as = qmat.partial_trace(part, [2] * (part.shape[-1].bit_length() - 1), keep=0)
+        rho_as = qmat.partial_trace(part, keep=0)
         for name, values in flat.items():
             values.extend(np.ravel(_COLUMNS[name](part, rho_as)).tolist())
         n += len(states)

@@ -25,14 +25,13 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     return qmat._scalar_or_stack(flat.sum(axis=-1))
 
 
-def negativity(rho: np.ndarray, dims: Sequence[int]) -> float | np.ndarray:
-    """Entanglement negativity across the bipartition ``dims``.
+def negativity(rho: np.ndarray) -> float | np.ndarray:
+    """Entanglement negativity of a qubit register across the qubit 0 | rest cut.
 
-    Computed as (||rho^(T_first)||_1 - 1) / 2, equal to the absolute sum of
-    the negative eigenvalues of the partial transpose; zero for product
-    states.
+    (||rho^(T_0)||_1 - 1) / 2, the absolute sum of the negative eigenvalues of
+    the partial transpose of qubit 0; zero for product states.
     """
-    pt = qmat.partial_transpose(rho, dims)
+    pt = qmat.partial_transpose(rho)
     return qmat._scalar_or_stack(np.fmax(0.0, (qmat.trace_norm_hermitian(pt) - 1.0) / 2.0))
 
 

@@ -1,5 +1,6 @@
-"""Dense real or complex linear algebra for small multi-qubit registers (dim <= 16).
+"""Dense real or complex linear algebra for registers of n <= 4 qubits, 2**n x 2**n matrices.
 
+Qubit 0 is a register's first tensor factor, and functions on registers read n from the matrix.
 All operations are pure functions on numpy arrays and never mutate their
 inputs. By ``as_array`` an array is float64 when its entries are real and
 complex128 when any is complex. Eigenvalue problems go to LAPACK through
@@ -10,7 +11,6 @@ the result of the call on that matrix alone.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -46,41 +46,41 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(_as_square(a, "a"), _as_square(b, "b"))
 
 
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems except ``keep`` of a square matrix or (..., d, d) stack.
-
-    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` is a
-    single index or a set of indices (order of the kept subsystems is
-    preserved). The trace of the result equals the trace of ``rho``.
-    """
+def _as_register(rho) -> tuple[np.ndarray, int]:
+    """``rho`` as a square matrix or (..., d, d) stack of n qubits, and n: d must be 2**n, n >= 1."""
     a = _as_square(rho, "rho", stack=True)
-    if not (np.iterable(dims) and all(is_integer(d) and d > 0 for d in dims)):
-        raise ValueError(f"dims {dims!r} are not positive integer subsystem sizes")
-    dims = list(dims)
-    n = len(dims)
-    if math.prod(dims) != a.shape[-1]:
-        raise ValueError(f"product of dims {dims} does not match matrix dim {a.shape[-1]}")
-    keep_idx = [keep] if np.isscalar(keep) else sorted(set(keep))
+    n = a.shape[-1].bit_length() - 1
+    if n < 1 or a.shape[-1] != 2 ** n:
+        raise ValueError(f"rho must be 2**n x 2**n for n >= 1 qubits, got dimension {a.shape[-1]}")
+    return a, n
+
+
+def partial_trace(rho: np.ndarray, keep: int | Sequence[int]) -> np.ndarray:
+    """Trace out all qubits except ``keep`` of a 2**n x 2**n matrix or (..., d, d) stack.
+
+    ``keep`` is a single index or a set of indices (order of the kept qubits
+    is preserved). The result is 2**k x 2**k for k kept qubits, and its
+    trace equals the trace of ``rho``.
+    """
+    a, n = _as_register(rho)
+    keep_idx = [keep] if np.isscalar(keep) else list(keep)
     if not keep_idx:
-        raise ValueError("must keep at least one subsystem")
+        raise ValueError("must keep at least one qubit")
     for k in keep_idx:
         if not (is_integer(k) and 0 <= k < n):
-            raise ValueError(f"keep index {k!r} is not an integer in range for {n} subsystems")
-    # Row axis i, column axis n + i; a traced subsystem's column shares its row index.
+            raise ValueError(f"keep index {k!r} is not an integer in range for {n} qubits")
+    keep_idx = sorted(set(keep_idx))
+    # Row axis i, column axis n + i; a traced qubit's column shares its row index.
     cols = [n + i if i in keep_idx else i for i in range(n)]
-    t = np.einsum(a.reshape(a.shape[:-2] + (*dims, *dims)), [..., *range(n), *cols],
+    t = np.einsum(a.reshape(a.shape[:-2] + (2,) * (2 * n)), [..., *range(n), *cols],
                   [..., *keep_idx, *(n + k for k in keep_idx)])
-    return t.reshape(a.shape[:-2] + (math.prod(dims[k] for k in keep_idx),) * 2)
+    return t.reshape(a.shape[:-2] + (2 ** len(keep_idx),) * 2)
 
 
-def partial_transpose(rho: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Transpose the first factor of a bipartite square matrix or (..., d, d) stack."""
-    a = _as_square(rho, "rho", stack=True)
-    da, db = dims if np.iterable(dims) and len(dims) == 2 else (None, None)
-    if not (is_integer(da) and is_integer(db) and da > 0 and da * db == a.shape[-1]):
-        raise ValueError(f"dims {dims!r} are not two subsystem sizes of matrix dim {a.shape[-1]}")
-    t = a.reshape(a.shape[:-2] + (da, db, da, db))
-    return t.swapaxes(-4, -2).reshape(a.shape)
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose qubit 0 of a 2**n x 2**n matrix or (..., d, d) stack: the qubit 0 | rest cut."""
+    a, n = _as_register(rho)
+    return a.reshape(a.shape[:-2] + (2, 2 ** (n - 1)) * 2).swapaxes(-4, -2).reshape(a.shape)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

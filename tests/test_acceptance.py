@@ -197,7 +197,7 @@ def test_criterion_8_structural_oracles():
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
         joint = u @ qmat.kron(rho, np.diag([w_g, 1 - w_g]).astype(complex)) @ u.conj().T
-        reduced = qmat.partial_trace(joint, [2, 2], keep=0)
+        reduced = qmat.partial_trace(joint, keep=0)
         via_kraus = sum(k @ rho @ k.conj().T for k in kraus)
         if np.max(np.abs(reduced - via_kraus)) >= 1e-10:
             kraus_ok = False
@@ -210,7 +210,7 @@ def test_criterion_8_structural_oracles():
             rho /= np.trace(rho).real
             reg = qmat.kron(rho, model.thermal_density(ANC))
             reduced = qmat.partial_trace(
-                collide(reg, (0, 1), p_step), [2, 2], keep=0
+                collide(reg, (0, 1), p_step), keep=0
             )
             if np.max(np.abs(dynamics.markovian_step(rho, p_step, ANC) - reduced)) >= 1e-13:
                 fresh_ok = False

@@ -131,8 +131,8 @@ class TestRealMetricsAndChecks:
         assert metrics.l1_coherence(r) == metrics.l1_coherence(r.astype(complex))
         assert metrics.trace_distance(r, s) == pytest.approx(
             metrics.trace_distance(r.astype(complex), s.astype(complex)), abs=1e-15)
-        assert metrics.negativity(r, (2, 2)) == pytest.approx(
-            metrics.negativity(r.astype(complex), (2, 2)), abs=1e-15)
+        assert metrics.negativity(r) == pytest.approx(
+            metrics.negativity(r.astype(complex)), abs=1e-15)
 
     def test_real_drift_keeps_its_complex_trace_message(self):
         bad = 1.5 * model.composite_initial(PLUS, [ANC])

@@ -112,7 +112,7 @@ class TestSchedule:
     lambda: dynamics.random_schedule(3, 5, 1.5),
     lambda: dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, n_steps=2.5),
     lambda: dynamics.orbit_sweep([0.5], 2.5, (0, 2)),
-    lambda: qmat.partial_trace(np.eye(4), [2, 2], 0.0),
+    lambda: qmat.partial_trace(np.eye(4), 0.0),
     lambda: dynamics.Schedule(2, (5,), [0]),
     lambda: dynamics.repeated_schedule(2, 5, 3),
     lambda: model.pair_collision_unitary(2, 5, 0.5),
@@ -120,7 +120,7 @@ class TestSchedule:
     lambda: dynamics.random_schedule(3, True, 1),
     lambda: dynamics.orbit_sweep([0.5], True),
     lambda: dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, n_steps=True),
-    lambda: qmat.partial_trace(np.eye(4), [2, 2], True),
+    lambda: qmat.partial_trace(np.eye(4), True),
     lambda: dynamics.random_schedule(3, 5, True),
     lambda: model.pair_collision_unitary(2, (False, True), 0.5),
     lambda: dynamics.orbit_sweep([0.5], 3, (False, True)),
@@ -161,7 +161,7 @@ class TestCollide:
         reg = model.composite_initial(PLUS, [ANC])
         for _ in range(4):
             reg = collide(reg, (0, 1), 0.5)
-        rho_a = qmat.partial_trace(reg, [2, 2], keep=0)
+        rho_a = qmat.partial_trace(reg, keep=0)
         assert metrics.l1_coherence(rho_a) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -253,11 +253,11 @@ class TestRunTrajectory:
         for pair in order:
             u = lit.SIXTEEN_BY_PAIR[pair](p)
             rho = u @ rho @ u.conj().T
-        oracle_rho_a = qmat.partial_trace(rho, [2] * 4, keep=0)
+        oracle_rho_a = qmat.partial_trace(rho, keep=0)
 
         sched = dynamics.Schedule(n_qubits=4, pairs=tuple(order), index=range(len(order)))
         traj = dynamics.run_trajectory(model.PureQubit(0.6, 0.8), ANC, p, sched)
-        lib_rho_a = qmat.partial_trace(traj.final_registers[0], [2] * 4, keep=0)
+        lib_rho_a = qmat.partial_trace(traj.final_registers[0], keep=0)
         np.testing.assert_allclose(lib_rho_a, oracle_rho_a, atol=1e-13)
         np.testing.assert_allclose(traj.final_registers[0], rho, atol=1e-13)
 
@@ -293,7 +293,7 @@ def per_step_negativity(p, n):
     rho = model.composite_initial(PLUS, (ANC,))
     values = []
     for _ in range(n + 1):
-        values.append(metrics.negativity(rho, (2, 2)))
+        values.append(metrics.negativity(rho))
         rho = collide(rho, (0, 1), p)
     return values
 
@@ -305,7 +305,7 @@ class TestNegativityPerChunk:
         calls = []
         real = metrics.negativity
         monkeypatch.setattr(dynamics.metrics, "negativity",
-                            lambda rho, dims: calls.append(len(rho)) or real(rho, dims))
+                            lambda rho: calls.append(len(rho)) or real(rho))
         assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
         capsys.readouterr()
         assert 1 < len(calls) <= 4
@@ -342,7 +342,7 @@ class TestReductionsPerChunk:
         calls = []
         real = qmat.partial_trace
         monkeypatch.setattr(dynamics.qmat, "partial_trace",
-                            lambda rho, dims, keep: calls.append((keep, rho.shape[:-2])) or real(rho, dims, keep))
+                            lambda rho, keep: calls.append((keep, rho.shape[:-2])) or real(rho, keep))
         assert cli.main(["trajectory", "--p", "0.8", "--collisions", "600"]) == 0
         capsys.readouterr()
         assert [keep for keep, _ in calls] == [0, 1] * 3
@@ -391,7 +391,7 @@ class TestMarkovian:
                 rho = random_density(rng, 2)
                 reg = qmat.kron(rho, model.thermal_density(ANC))
                 reduced = qmat.partial_trace(
-                    collide(reg, (0, 1), p), [2, 2], keep=0
+                    collide(reg, (0, 1), p), keep=0
                 )
                 np.testing.assert_allclose(
                     dynamics.markovian_step(rho, p, ANC), reduced, atol=1e-13

@@ -116,6 +116,32 @@ def test_output_matches_golden(name, tmp_path):
         assert_footer(got.get("notes", []), want.get("notes", []), n_collisions)
 
 
+def stale_cells(text: str) -> list[str]:
+    """The data cells of an emitted CSV file that differ from what ``f"{float(cell):.17g}"`` writes."""
+    return [cell for row in split_csv(text)[2] for cell in row if f"{float(cell):.17g}" != cell]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.csv")))
+def test_csv_golden_cells_are_what_the_formatter_writes(name):
+    """Every data cell of a CSV golden is the program's 17-significant-digit text of its float.
+    A cell written with 15 or 16 digits, or as the shortest repr, fails here unless its float's
+    17 digits end in zeros; the tolerance above would pass it.
+
+    JSON goldens cannot be checked this way: the program writes a JSON float as its shortest
+    repr, and a stale 15-digit token such as 0.130565372673069 is already the shortest repr of
+    the float it parses to.
+    """
+    assert stale_cells((GOLDEN / name).read_text(encoding="utf-8")) == []
+
+
+def test_stale_cells_finds_a_cell_of_another_formatter():
+    # The second cell is the first's value written with 15 significant digits. A float whose
+    # 17 digits end in zeros, like 0.130565372673069, is written that way by %.17g too.
+    text = ("# command = trajectory\nn,coherence_A,trace_distance\n"
+            "250,0.42428821064526406,0.424288210645264\n251,0.130565372673069,0.13056537267306934\n")
+    assert stale_cells(text) == ["0.424288210645264"]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():

@@ -68,17 +68,17 @@ class TestNegativity:
         rng = np.random.default_rng(2)
         for _ in range(10):
             rho = qmat.kron(random_density(rng, 2), random_density(rng, 2))
-            assert metrics.negativity(rho, (2, 2)) < 1e-10
+            assert metrics.negativity(rho) < 1e-10
 
     def test_bell_projector(self):
-        assert metrics.negativity(bell_projector(), (2, 2)) == pytest.approx(0.5, abs=1e-12)
+        assert metrics.negativity(bell_projector()) == pytest.approx(0.5, abs=1e-12)
 
     def test_equals_abs_sum_of_negative_eigenvalues(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 4)
-        eigs = qmat.hermitian_eigenvalues(qmat.partial_transpose(rho, (2, 2)))
+        eigs = qmat.hermitian_eigenvalues(qmat.partial_transpose(rho))
         expected = float(np.sum(np.abs(eigs[eigs < 0])))
-        assert metrics.negativity(rho, (2, 2)) == pytest.approx(expected, abs=1e-12)
+        assert metrics.negativity(rho) == pytest.approx(expected, abs=1e-12)
 
     def test_single_collision_peak(self):
         # One half-strength collision on the standard preparation entangles
@@ -88,31 +88,27 @@ class TestNegativity:
             model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8)]
         )
         rho1 = u @ reg @ u.conj().T
-        value = metrics.negativity(rho1, (2, 2))
+        value = metrics.negativity(rho1)
         assert 0.115 <= value <= 0.145
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            assert metrics.negativity(random_density(rng, 4), (2, 2)) >= 0.0
+            assert metrics.negativity(random_density(rng, 4)) >= 0.0
 
     def test_system_environment_cut_on_larger_register(self):
         anc = model.ThermalAncilla(0.8)
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc, anc])
-        assert metrics.negativity(reg, (2, 4)) < 1e-10
+        assert metrics.negativity(reg) < 1e-10
         u = model.pair_collision_unitary(3, (0, 1), 0.5)
         entangled = u @ reg @ u.conj().T
-        assert metrics.negativity(entangled, (2, 4)) > 0.05
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            metrics.negativity(np.eye(4) / 4, (2, 3))
+        assert metrics.negativity(entangled) > 0.05
 
     def test_rejects_non_hermitian(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         rho[0, 3] = 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):
-            metrics.negativity(rho, (2, 2))
+            metrics.negativity(rho)
 
 
 class TestTraceDistance:
@@ -166,8 +162,8 @@ class TestTraceDistance:
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
             full = metrics.trace_distance(r1, r2)
             reduced = metrics.trace_distance(
-                qmat.partial_trace(r1, [2, 2], keep=0),
-                qmat.partial_trace(r2, [2, 2], keep=0),
+                qmat.partial_trace(r1, keep=0),
+                qmat.partial_trace(r2, keep=0),
             )
             assert reduced <= full + 1e-10
 

@@ -190,7 +190,7 @@ class TestCompositeInitial:
         reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc] * 3)
         assert reg.shape == (16, 16)
         for k in (1, 2, 3):
-            marginal = qmat.partial_trace(reg, [2] * 4, keep=k)
+            marginal = qmat.partial_trace(reg, keep=k)
             np.testing.assert_allclose(marginal, np.diag([0.8, 0.2]), atol=1e-14)
 
     def test_rejects_ancilla_count(self):
@@ -225,7 +225,7 @@ class TestReducedChannel:
         for _ in range(20):
             rho = random_density(rng)
             joint = u @ qmat.kron(rho, thermal) @ u.conj().T
-            reduced = qmat.partial_trace(joint, [2, 2], keep=0)
+            reduced = qmat.partial_trace(joint, keep=0)
             via_kraus = sum(k @ rho @ k.conj().T for k in kraus)
             np.testing.assert_allclose(reduced, via_kraus, atol=1e-10)
 

@@ -76,44 +76,39 @@ def test_fresh_ancilla_map_is_the_reduced_collision(rho, p, w_g):
     joint = u @ np.kron(rho, model.thermal_density(ancilla)) @ u.conj().T
     np.testing.assert_allclose(
         dynamics.markovian_step(rho, p, ancilla),
-        qmat.partial_trace(joint, [2, 2], keep=0),
+        qmat.partial_trace(joint, keep=0),
         rtol=0.0, atol=1e-12,
     )
 
 
-@PROPERTY
-@given(data=st.data(), n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_partial_trace_one_subsystem_at_a_time(data, n, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
-    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    order = data.draw(st.permutations([k for k in range(n) if k not in keep]))
-    remaining, stepwise = list(range(n)), rho
-    for k in order:
-        position = remaining.index(k)
-        others = [i for i in range(len(remaining)) if i != position]
-        stepwise = qmat.partial_trace(stepwise, [2] * len(remaining), keep=others)
-        remaining.remove(k)
-    np.testing.assert_allclose(
-        stepwise, qmat.partial_trace(rho, [2] * n, keep=keep), rtol=0.0, atol=1e-14
-    )
+@pytest.mark.parametrize("n, keep", [
+    (n, keep) for n in range(1, 5) for size in range(1, n + 1) for keep in itertools.combinations(range(n), size)
+])
+def test_partial_trace_one_subsystem_at_a_time(n, keep):
+    # Every non-empty keep set of 1-4 qubits, tracing the others out one at a time in every order.
+    rho = random_densities(np.random.default_rng([n, *keep]), (), 2 ** n)
+    for order in itertools.permutations([k for k in range(n) if k not in keep]):
+        remaining, stepwise = list(range(n)), rho
+        for k in order:
+            position = remaining.index(k)
+            others = [i for i in range(len(remaining)) if i != position]
+            stepwise = qmat.partial_trace(stepwise, keep=others)
+            remaining.remove(k)
+        np.testing.assert_allclose(stepwise, qmat.partial_trace(rho, keep=keep), rtol=0.0, atol=1e-14)
 
 
-# Each stack-aware function as a function of two stacks of density matrices
-# of shape (..., da * db, da * db), and whether it maps a matrix to a float.
+# Each stack-aware function as a function of two stacks of n-qubit density matrices
+# of shape (..., 2**n, 2**n), and whether it maps a matrix to a float.
 STACK_AWARE = {
-    "l1_coherence": (lambda r, s, dims: metrics.l1_coherence(r), True),
-    "trace_distance": (lambda r, s, dims: metrics.trace_distance(r, s), True),
-    "negativity": (lambda r, s, dims: metrics.negativity(r, dims), True),
-    "trace_norm_hermitian": (lambda r, s, dims: qmat.trace_norm_hermitian(r - s), True),
-    "hermitian_eigenvalues": (lambda r, s, dims: qmat.hermitian_eigenvalues(r - s), False),
-    "partial_transpose": (lambda r, s, dims: qmat.partial_transpose(r, dims), False),
-    "markovian_step": (
-        lambda r, s, dims: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8)), False
-    ),
+    "l1_coherence": (lambda r, s: metrics.l1_coherence(r), True),
+    "trace_distance": (lambda r, s: metrics.trace_distance(r, s), True),
+    "negativity": (lambda r, s: metrics.negativity(r), True),
+    "trace_norm_hermitian": (lambda r, s: qmat.trace_norm_hermitian(r - s), True),
+    "hermitian_eigenvalues": (lambda r, s: qmat.hermitian_eigenvalues(r - s), False),
+    "partial_transpose": (lambda r, s: qmat.partial_transpose(r), False),
+    "markovian_step": (lambda r, s: dynamics.markovian_step(r, 0.35, model.ThermalAncilla(0.8)), False),
 }
-# Functions of single-qubit states, which are drawn with dims (1, 2) only.
+# Functions of single-qubit states, which are drawn with n = 1 only.
 QUBIT_ONLY = {"markovian_step"}
 
 
@@ -123,15 +118,13 @@ def random_densities(rng, shape, dim):
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
 
 
-def per_axis_partial_trace(rho, dims, keep):
-    """Oracle: trace the traced axes of the (*dims, *dims) reshape one at a time with np.trace."""
-    n = len(dims)
-    t = rho.reshape(list(dims) * 2)
+def per_axis_partial_trace(rho, n, keep):
+    """Oracle: trace the traced axes of the (2,) * 2n reshape one at a time with np.trace."""
+    t = rho.reshape((2,) * (2 * n))
     traced = [i for i in range(n) if i not in keep]
     for done, idx in enumerate(reversed(traced)):  # last first, so earlier axes keep their place
         t = np.trace(t, axis1=idx, axis2=idx + n - done)
-    d = math.prod(dims[k] for k in keep)
-    return t.reshape(d, d)
+    return t.reshape(2 ** len(keep), 2 ** len(keep))
 
 
 @PROPERTY
@@ -146,35 +139,35 @@ def test_partial_trace_of_a_stack_is_the_trace_of_each_matrix(data, n, shape, re
     rho = random_densities(np.random.default_rng(seed), shape, 2 ** n)
     rho = rho.real if real else rho
     keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    stacked = qmat.partial_trace(rho, [2] * n, keep)
+    stacked = qmat.partial_trace(rho, keep)
     assert stacked.shape == shape + (2 ** len(keep),) * 2
     for idx in np.ndindex(*shape):
-        single = qmat.partial_trace(rho[idx], [2] * n, keep)
+        single = qmat.partial_trace(rho[idx], keep)
         assert stacked[idx].dtype == single.dtype
         assert stacked[idx].tobytes() == single.tobytes()
         np.testing.assert_allclose(
-            single, per_axis_partial_trace(rho[idx], [2] * n, keep), rtol=0.0, atol=1e-15
+            single, per_axis_partial_trace(rho[idx], n, keep), rtol=0.0, atol=1e-15
         )
 
 
 @PROPERTY
 @given(
     name=st.sampled_from(sorted(STACK_AWARE)),
-    dims=st.sampled_from([(1, 2), (2, 2), (2, 4), (4, 2), (2, 8), (4, 4)]),
+    n=st.integers(1, 4),
     shape=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_stacked_call_equals_the_calls_on_each_matrix(name, dims, shape, seed):
+def test_stacked_call_equals_the_calls_on_each_matrix(name, n, shape, seed):
     function, scalar = STACK_AWARE[name]
     if name in QUBIT_ONLY:
-        dims = (1, 2)
+        n = 1
     rng = np.random.default_rng(seed)
-    dim = dims[0] * dims[1]
+    dim = 2 ** n
     r, s = random_densities(rng, shape, dim), random_densities(rng, shape, dim)
-    singles = [function(a, b, dims) for a, b in zip(r.reshape(-1, dim, dim), s.reshape(-1, dim, dim))]
+    singles = [function(a, b) for a, b in zip(r.reshape(-1, dim, dim), s.reshape(-1, dim, dim))]
     if scalar:
         assert all(type(x) is float for x in singles)
-    stacked = function(r, s, dims)
+    stacked = function(r, s)
     assert isinstance(stacked, np.ndarray)
     assert stacked.shape[:len(shape)] == shape
     expected = np.reshape(singles, stacked.shape)

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -89,44 +87,46 @@ class TestPartialTrace:
         for _ in range(10):
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 2)
-            out = qmat.partial_trace(qmat.kron(a, b), [2, 2], keep=0)
+            out = qmat.partial_trace(qmat.kron(a, b), keep=0)
             np.testing.assert_allclose(out, a * np.trace(b), atol=1e-14)
 
     def test_thermal_marginal(self):
         pure = np.full((2, 2), 0.5, dtype=complex)
         rho = qmat.kron(pure, np.diag([0.8, 0.2]).astype(complex))
-        out = qmat.partial_trace(rho, [2, 2], keep=1)
+        out = qmat.partial_trace(rho, keep=1)
         np.testing.assert_allclose(out, np.diag([0.8, 0.2]), atol=1e-15)
 
     def test_bell_marginal_is_maximally_mixed(self):
-        out = qmat.partial_trace(bell_projector(), [2, 2], keep=0)
+        out = qmat.partial_trace(bell_projector(), keep=0)
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
 
     def test_keep_multiple(self):
         rng = np.random.default_rng(11)
         a, b, c = (random_density(rng, 2) for _ in range(3))
         rho = qmat.kron(qmat.kron(a, b), c)
-        out = qmat.partial_trace(rho, [2, 2, 2], keep=[0, 2])
+        out = qmat.partial_trace(rho, keep=[0, 2])
         np.testing.assert_allclose(out, qmat.kron(a, c), atol=1e-13)
 
     def test_preserves_trace(self):
         rng = np.random.default_rng(5)
         rho = random_density(rng, 8)
-        out = qmat.partial_trace(rho, [2, 2, 2], keep=1)
+        out = qmat.partial_trace(rho, keep=1)
         assert np.trace(out) == pytest.approx(np.trace(rho), abs=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            qmat.partial_trace(np.eye(4), [2, 3], keep=0)
 
     def test_keep_out_of_range(self):
         with pytest.raises(ValueError, match="keep"):
-            qmat.partial_trace(np.eye(4), [2, 2], keep=2)
+            qmat.partial_trace(np.eye(4), keep=2)
 
-    @pytest.mark.parametrize("dims", [8, (2.0, 2.0), (-2, -2), (2, True)])
-    def test_rejects_dims_that_are_not_positive_integer_sizes(self, dims):
-        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not positive integer"):
-            qmat.partial_trace(np.eye(4) / 4, dims, keep=0)
+    @pytest.mark.parametrize("keep, message", [
+        ([], "^must keep at least one qubit$"),
+        (-1, "^keep index -1 is not an integer in range for 2 qubits$"),
+        # A set would drop the bool as a duplicate of 1 whichever comes first.
+        ([1, True], "^keep index True is not an integer in range for 2 qubits$"),
+        ([True, 1], "^keep index True is not an integer in range for 2 qubits$"),
+    ])
+    def test_rejects_keep_that_is_not_a_set_of_qubit_indices(self, keep, message):
+        with pytest.raises(ValueError, match=message):
+            qmat.partial_trace(np.eye(4) / 4, keep)
 
 
 class TestPartialTranspose:
@@ -134,42 +134,52 @@ class TestPartialTranspose:
         rng = np.random.default_rng(13)
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        out = qmat.partial_transpose(qmat.kron(a, b), [2, 2])
+        out = qmat.partial_transpose(qmat.kron(a, b))
         np.testing.assert_allclose(out, qmat.kron(a.T, b), atol=1e-15)
 
     def test_diagonal_unchanged(self):
         d = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        np.testing.assert_array_equal(qmat.partial_transpose(d, [2, 2]), d)
+        np.testing.assert_array_equal(qmat.partial_transpose(d), d)
 
     def test_involution_exact(self):
         rng = np.random.default_rng(17)
         rho = random_density(rng, 8)
-        twice = qmat.partial_transpose(qmat.partial_transpose(rho, [2, 4]), [2, 4])
+        twice = qmat.partial_transpose(qmat.partial_transpose(rho))
         np.testing.assert_array_equal(twice, rho)
 
     def test_bell_minimum_eigenvalue(self):
-        pt = qmat.partial_transpose(bell_projector(), [2, 2])
+        pt = qmat.partial_transpose(bell_projector())
         oracle = charpoly_eigenvalues(pt)
         np.testing.assert_allclose(oracle, [-0.5, 0.5, 0.5, 0.5], atol=1e-5)
         assert qmat.hermitian_eigenvalues(pt)[0] == pytest.approx(-0.5, abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            qmat.partial_transpose(np.eye(4), [2, 3])
-
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (8,), 8, (2.0, 4.0), (-2, -4)])
-    def test_rejects_dims_that_are_not_two_subsystem_sizes(self, dims):
-        # (2, 2, 2) raised "too many values to unpack (expected 2)", which does not name dims.
-        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not two subsystem sizes"):
-            qmat.partial_transpose(np.eye(8) / 8, dims)
-        with pytest.raises(ValueError, match=f"^dims {re.escape(repr(dims))} are not two subsystem sizes"):
-            metrics.negativity(np.eye(8) / 8, dims)
+    def test_one_qubit_is_the_whole_transpose(self):
+        m = np.array([[0.7, 0.1 - 0.2j], [0.3j, 0.3]])
+        np.testing.assert_array_equal(qmat.partial_transpose(m), m.T)
 
     def test_defined_for_non_hermitian_matrices(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[0.0, 1j], [5.0, 0.0]])
-        np.testing.assert_array_equal(qmat.partial_transpose(np.kron(a, b), [2, 2]),
+        np.testing.assert_array_equal(qmat.partial_transpose(np.kron(a, b)),
                                       np.kron(a.T, b))
+
+
+# The functions on qubit registers, each as a function of the matrix or stack alone.
+REGISTER_FUNCTIONS = {
+    "partial_trace": lambda rho: qmat.partial_trace(rho, keep=0),
+    "partial_transpose": qmat.partial_transpose,
+    "negativity": metrics.negativity,
+}
+
+
+@pytest.mark.parametrize("name", REGISTER_FUNCTIONS)
+@pytest.mark.parametrize("dim", [1, 3, 6, 12])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_rejects_a_register_that_is_not_qubits(name, dim, stack):
+    # A register of n qubits is 2**n x 2**n with n >= 1; the size is read from the matrix.
+    rho = np.broadcast_to(np.eye(dim) / dim, stack + (dim, dim))
+    with pytest.raises(ValueError, match=rf"^rho must be 2\*\*n x 2\*\*n for n >= 1 qubits, got dimension {dim}$"):
+        REGISTER_FUNCTIONS[name](rho)
 
 
 class TestHermitianEigenvalues:
@@ -184,7 +194,7 @@ class TestHermitianEigenvalues:
         )
 
     def test_bell_partial_transpose(self):
-        pt = qmat.partial_transpose(bell_projector(), [2, 2])
+        pt = qmat.partial_transpose(bell_projector())
         np.testing.assert_allclose(
             qmat.hermitian_eigenvalues(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12
         )
@@ -230,7 +240,7 @@ class TestTraceNorm:
         assert qmat.trace_norm_hermitian(np.diag([0.5, -0.5])) == pytest.approx(1.0)
 
     def test_bell_partial_transpose(self):
-        pt = qmat.partial_transpose(bell_projector(), [2, 2])
+        pt = qmat.partial_transpose(bell_projector())
         assert qmat.trace_norm_hermitian(pt) == pytest.approx(2.0, abs=1e-12)
 
     def test_bounds_trace(self):

@@ -20,17 +20,16 @@ def per_copy_run(states, ancillas, p, schedule):
     mirror's final register is not returned."""
     partners = states if len(states) == 2 else (*states, model.PureQubit(states[0].a, -states[0].b))
     registers = [model.composite_initial(s, ancillas) for s in partners]
-    dims = [2] * (1 + len(ancillas))
     columns = {}
 
     def record():
-        rho_a = qmat.partial_trace(registers[0], dims, keep=0)
+        rho_a = qmat.partial_trace(registers[0], keep=0)
         rec = {"coherence_a": metrics.l1_coherence(rho_a)}
-        if len(dims) == 2:
-            rho_env = qmat.partial_trace(registers[0], dims, keep=1)
+        if len(ancillas) == 1:
+            rho_env = qmat.partial_trace(registers[0], keep=1)
             rec["coherence_env"] = metrics.l1_coherence(rho_env)
-            rec["negativity"] = metrics.negativity(registers[0], (2, 2))
-        other = qmat.partial_trace(registers[1], dims, keep=0)
+            rec["negativity"] = metrics.negativity(registers[0])
+        other = qmat.partial_trace(registers[1], keep=0)
         rec["trace_distance"] = metrics.trace_distance(rho_a, other)
         for name, value in rec.items():
             columns.setdefault(name, []).append(value)
