@@ -207,7 +207,7 @@ def _cmd_trajectory(args) -> tuple[dict, list[str], list[tuple], list[str]]:
         if args.seed is not None or args.restrict_system_ancilla:
             raise ValueError("--seed and --restrict-system-ancilla need --ancillas 2 or 3")
         seed = None
-        schedule = repeated_schedule(2, (0, 1), args.collisions)
+        schedule = repeated_schedule(args.collisions)
     else:
         seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(63)
         if seed < 0:

@@ -73,11 +73,11 @@ class Schedule:
         return len(self.index)
 
 
-def repeated_schedule(n_qubits: int, pair: tuple[int, int], n_events: int) -> Schedule:
-    """Deterministic schedule repeating one pair."""
+def repeated_schedule(n_events: int) -> Schedule:
+    """The single-ancilla schedule: ``n_events`` collisions of the system with its ancilla, pair (0, 1)."""
     if not (qmat.is_integer(n_events) and n_events >= 1):
         raise ValueError(f"n_events must be an integer of at least 1, got {n_events!r}")
-    return Schedule(n_qubits, (pair,), np.zeros(n_events, dtype=int))
+    return Schedule(2, ((0, 1),), np.zeros(n_events, dtype=int))
 
 
 def random_schedule(
@@ -186,8 +186,8 @@ def _run(initials, ps, schedule: Schedule, names, window=None, step=None):
     array of each ``names`` column over the half-open ``window`` (default: all), and the final states.
 
     The (P, B, d, d) stack steps collision k with ``steps[index[k]]``: the pair's (P, d, d)
-    unitaries, built in one call, with the initial states promoted to their dtype; or, for a
-    one-pair table, ``step``, which must keep its input's dtype. The initial states are a chunk
+    unitaries, built in one call, with the initial states promoted to their dtype; or ``step``,
+    which must keep its input's dtype, for the single-ancilla schedule. The initial states are a chunk
     of their own; the stacks after each collision follow in chunks of about CHECK_CHUNK_ENTRIES
     entries, which bound the memory. One ``_first_violation`` call checks each chunk at every grid
     point and copy before any metric of it is computed, scanning a failed chunk in (step, grid
@@ -249,7 +249,7 @@ def run_trajectory(systems, ancilla: ThermalAncilla, p: float, schedule: Schedul
     states = _system_states(systems)
     names = ["coherence_a", "coherence_env", "negativity"] if schedule.n_qubits == 2 else ["coherence_a"]
     names += ["trace_distance"]
-    initials = np.stack([composite_initial(s, [ancilla] * (schedule.n_qubits - 1)) for s in states])
+    initials = np.stack([composite_initial(s, ancilla, schedule.n_qubits - 1) for s in states])
     columns, rhos = _run(initials, [p], schedule, names)
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
@@ -279,11 +279,11 @@ def markovian_trajectory(
     ancilla: ThermalAncilla,
     n_steps: int,
 ) -> Trajectory:
-    """Step one system state or a pair through the fresh-ancilla map, checked after every collision;
-    the trace distance is of the pair, or of a single state and its parity mirror Z rho Z."""
+    """Step one system state or a pair through the single-ancilla schedule, a fresh ancilla at each
+    collision, checked after every one; the trace distance is of the pair, or of a state and its mirror Z rho Z."""
     states = _system_states(systems)
     initials = np.stack([pure_qubit_density(s) for s in states])
-    columns, rhos = _run(initials, [p], repeated_schedule(2, (0, 1), n_steps), ["trace_distance", "coherence_a"],
+    columns, rhos = _run(initials, [p], repeated_schedule(n_steps), ["trace_distance", "coherence_a"],
                          step=lambda rhos: markovian_step(rhos, p, ancilla))
     return Trajectory({name: grid[0] for name, grid in columns.items()}, tuple(rhos[0]))
 
@@ -320,12 +320,12 @@ def orbit_sweep(
     grid = tuple(float(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
-    schedule = repeated_schedule(2, (0, 1), n_collisions)
+    schedule = repeated_schedule(n_collisions)
     if window is None:
         window = (max(0, n_collisions + 1 - VERDICT_WINDOW), n_collisions + 1)
     start, stop = window if np.iterable(window) and len(window) == 2 else (None, None)
     if not (qmat.is_integer(start) and qmat.is_integer(stop) and 0 <= start < stop <= n_collisions + 1):
         raise ValueError(f"window {window!r} invalid for {n_collisions} collisions")
-    initials = composite_initial(SUPERPOSITION_PLUS, (ancilla,))[np.newaxis]
+    initials = composite_initial(SUPERPOSITION_PLUS, ancilla, 1)[np.newaxis]
     columns, _ = _run(initials, grid, schedule, ["coherence_a"], (start, stop))
     return OrbitDiagram(grid, columns["coherence_a"], (start, stop))

@@ -97,12 +97,11 @@ def pair_collision_unitary(n_qubits: int, pair: tuple[int, int], p) -> np.ndarra
     return u
 
 
-def composite_initial(system: PureQubit, ancillas: list[ThermalAncilla] | tuple[ThermalAncilla, ...]) -> np.ndarray:
-    """Uncorrelated initial density matrix: system state tensored with each ancilla in order."""
-    ancillas = tuple(ancillas)
-    if not 1 <= len(ancillas) <= 3:
-        raise ValueError(f"need 1 to 3 ancillas, got {len(ancillas)}")
-    rho = pure_qubit_density(system)
-    for anc in ancillas:
-        rho = qmat.kron(rho, thermal_density(anc))
+def composite_initial(system: PureQubit, ancilla: ThermalAncilla, n_ancillas: int) -> np.ndarray:
+    """Uncorrelated initial density matrix: the system state tensored with ``n_ancillas`` copies of ``ancilla``."""
+    if not (qmat.is_integer(n_ancillas) and 1 <= n_ancillas <= 3):
+        raise ValueError(f"need 1 to 3 ancillas, got {n_ancillas!r}")
+    rho, anc = pure_qubit_density(system), thermal_density(ancilla)
+    for _ in range(n_ancillas):
+        rho = qmat.kron(rho, anc)
     return rho

@@ -30,7 +30,7 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _as_square(m: np.ndarray, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+def _as_square(m: np.ndarray, name: str, *, stack: bool = False) -> np.ndarray:
     a = as_array(m)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")

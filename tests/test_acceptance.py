@@ -25,7 +25,7 @@ def _report(num: int, ok: bool, desc: str) -> None:
 
 def _paired_run(p, n_collisions, n_ancillas=1, seed=None):
     if n_ancillas == 1:
-        sched = dynamics.repeated_schedule(2, (0, 1), n_collisions)
+        sched = dynamics.repeated_schedule(n_collisions)
     else:
         sched = dynamics.random_schedule(1 + n_ancillas, n_collisions, seed=seed)
     return dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
@@ -217,12 +217,12 @@ def test_criterion_8_structural_oracles():
 
     bounds_ok = True
     runs = [
-        ([ANC], dynamics.repeated_schedule(2, (0, 1), 150), 0.5),
-        ([ANC] * 3, dynamics.random_schedule(4, 100, seed=8), 0.5),
+        (1, dynamics.repeated_schedule(150), 0.5),
+        (3, dynamics.random_schedule(4, 100, seed=8), 0.5),
     ]
-    for ancillas, sched, p_run in runs:
+    for n_ancillas, sched, p_run in runs:
         regs = [
-            model.composite_initial(s, ancillas) for s in (PLUS, MINUS)
+            model.composite_initial(s, ANC, n_ancillas) for s in (PLUS, MINUS)
         ]
         for pair in map(sched.pairs.__getitem__, sched.index):
             regs = [collide(r, pair, p_run) for r in regs]

@@ -7,7 +7,7 @@ from qcollide import analysis, dynamics
 
 
 def coherence_series(p, n_collisions):
-    sched = dynamics.repeated_schedule(2, (0, 1), n_collisions)
+    sched = dynamics.repeated_schedule(n_collisions)
     traj = dynamics.run_trajectory(
         dynamics.SUPERPOSITION_PLUS, dynamics.DEFAULT_ANCILLA, p, sched
     )

@@ -123,7 +123,7 @@ class TestOneCopyDrift:
         # trace is back within bounds, so only the check of the drifted state
         # itself can catch the drift.
         corrupt(monkeypatch, {(0, 2): 1.01 * np.eye(8), (0, 1): np.eye(8) / 1.01})
-        drifted = collide(model.composite_initial(PLUS, [ANC, ANC]), (0, 2), 0.5)
+        drifted = collide(model.composite_initial(PLUS, ANC, 2), (0, 2), 0.5)
         restored = collide(drifted, (0, 1), 0.5)
         assert np.trace(drifted).real == pytest.approx(1.0201)
         assert abs(np.trace(restored) - 1.0) < dynamics.TRACE_TOL
@@ -195,7 +195,7 @@ GRID_CHUNK = dynamics.CHECK_CHUNK_ENTRIES // (len(GRID) * 2 * 8 * 8)
 
 def grid_violation(events):
     """The violation that stepping PAIR at every point of GRID through ``events`` raises."""
-    initial = np.stack([model.composite_initial(s, [ANC, ANC]) for s in PAIR])
+    initial = np.stack([model.composite_initial(s, ANC, 2) for s in PAIR])
     with pytest.raises(dynamics.InvariantViolationError) as info:
         dynamics._run(initial, GRID, schedule_of(3, events), [])
     return info.value

@@ -343,6 +343,21 @@ class TestWindowRange:
         ["orbit", "--p", "0.5"],
         ["markovian", "--p", "0.5"],
     ])
+    # argparse reads a bare "-1:4" as a flag, so the negative start needs the "=" form.
+    @pytest.mark.parametrize("window", [["--window", "5:5"], ["--window", "7:3"], ["--window=-1:4"]])
+    def test_empty_or_negative_window_exits_two(self, tmp_path, capsys, command, window):
+        code, path = run(command + ["--collisions", "10"] + window, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"window {window[-1].removeprefix('--window=')!r} is empty or negative" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["trajectory", "--p", "0.5"],
+        ["orbit", "--p", "0.5"],
+        ["markovian", "--p", "0.5"],
+    ])
     def test_window_through_last_collision_is_accepted(self, tmp_path, command):
         code, path = run(command + ["--collisions", "10", "--window", "0:11"], tmp_path)
         assert code == 0

@@ -37,7 +37,7 @@ class TestOracle:
     @given(p=probabilities, w_g=ground_weights)
     def test_zero_and_one_collision(self, p, w_g):
         for system in PAIR:
-            rho0 = model.composite_initial(system, [model.ThermalAncilla(w_g)])
+            rho0 = model.composite_initial(system, model.ThermalAncilla(w_g), 1)
             rho = closed_form.register(system.a, system.b, w_g, p, [0, 1])
             np.testing.assert_allclose(rho[0], rho0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(rho[1], collide(rho0, (0, 1), p), rtol=0, atol=1e-15)
@@ -48,7 +48,7 @@ class TestRunAgainstClosedForm:
     @given(n=collision_counts, p=probabilities, w_g=ground_weights)
     def test_every_column_and_final_register(self, n, p, w_g):
         traj = dynamics.run_trajectory(PAIR, model.ThermalAncilla(w_g), p,
-                                       dynamics.repeated_schedule(2, (0, 1), n))
+                                       dynamics.repeated_schedule(n))
         assert list(traj.columns) == NAMES
         expected = closed_form.columns(w_g, p, n)
         tol = closed_form.tolerance(np.arange(n + 1))
@@ -66,7 +66,7 @@ class TestRunAgainstClosedForm:
         a, b = math.cos(polar / 2), math.sin(polar / 2) * complex(math.cos(phase), math.sin(phase))
         ancilla = model.ThermalAncilla(w_g)
         traj = dynamics.run_trajectory(model.PureQubit(a, b), ancilla, p,
-                                       dynamics.repeated_schedule(2, (0, 1), n))
+                                       dynamics.repeated_schedule(n))
         rho = closed_form.register(a, b, w_g, p, np.arange(n + 1))
         tol = closed_form.tolerance(np.arange(n + 1))
         expected = {

@@ -39,7 +39,7 @@ def test_as_array_does_not_copy_a_float64_or_complex128_array():
 
 
 def schedules():
-    return [dynamics.repeated_schedule(2, (0, 1), 30), dynamics.random_schedule(4, 30, seed=5)]
+    return [dynamics.repeated_schedule(30), dynamics.random_schedule(4, 30, seed=5)]
 
 
 class TestRealInputsStayReal:
@@ -50,10 +50,10 @@ class TestRealInputsStayReal:
     def test_states_are_real(self):
         assert model.pure_qubit_density(PLUS).dtype == np.float64
         assert model.thermal_density(model.ThermalAncilla(1)).dtype == np.float64
-        assert model.composite_initial(MINUS, [ANC] * 3).dtype == np.float64
+        assert model.composite_initial(MINUS, ANC, 3).dtype == np.float64
 
     def test_collide_and_markovian_step_are_real(self):
-        rho = model.composite_initial(PLUS, [ANC, ANC])
+        rho = model.composite_initial(PLUS, ANC, 2)
         assert collide(rho, (0, 2), 0.4).dtype == np.float64
         assert dynamics.markovian_step(model.pure_qubit_density(PLUS), 0.4, ANC).dtype == np.float64
 
@@ -69,7 +69,7 @@ class TestRealInputsStayReal:
 
 class TestComplexInputsRunComplex:
     def test_phased_state_is_complex(self):
-        rho = model.composite_initial(PHASED, [ANC])
+        rho = model.composite_initial(PHASED, ANC, 1)
         assert model.pure_qubit_density(PHASED).dtype == np.complex128
         assert rho.dtype == np.complex128
         assert collide(rho, (0, 1), 0.4).dtype == np.complex128
@@ -126,8 +126,8 @@ def assert_trace_message(message, prefix, trace):
 
 class TestRealMetricsAndChecks:
     def test_metrics_of_real_and_complex_typed_states_agree(self):
-        r = model.composite_initial(PLUS, [ANC])
-        s = model.composite_initial(MINUS, [ANC])
+        r = model.composite_initial(PLUS, ANC, 1)
+        s = model.composite_initial(MINUS, ANC, 1)
         assert metrics.l1_coherence(r) == metrics.l1_coherence(r.astype(complex))
         assert metrics.trace_distance(r, s) == pytest.approx(
             metrics.trace_distance(r.astype(complex), s.astype(complex)), abs=1e-15)
@@ -135,7 +135,7 @@ class TestRealMetricsAndChecks:
             metrics.negativity(r.astype(complex)), abs=1e-15)
 
     def test_real_drift_keeps_its_complex_trace_message(self):
-        bad = 1.5 * model.composite_initial(PLUS, [ANC])
+        bad = 1.5 * model.composite_initial(PLUS, ANC, 1)
         assert bad.dtype == np.float64
         assert_trace_message(violation(bad), "trace drifted to ", 1.5)
 
@@ -147,5 +147,5 @@ class TestRealMetricsAndChecks:
 
         monkeypatch.setattr(dynamics, "pair_collision_unitary", scaled)
         with pytest.raises(dynamics.InvariantViolationError) as info:
-            dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, dynamics.repeated_schedule(2, (0, 1), 3))
+            dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, dynamics.repeated_schedule(3))
         assert_trace_message(str(info.value), "step 1, pair (0, 1), p = 0.5, copy 0: trace drifted to ", 2.25)

@@ -50,16 +50,19 @@ class TestSchedule:
         assert all(type(k) is int for k in sched.pairs[0])
 
     def test_compares_by_identity(self):
-        a = dynamics.repeated_schedule(2, (0, 1), 3)
-        b = dynamics.repeated_schedule(2, (0, 1), 3)
+        a = dynamics.repeated_schedule(3)
+        b = dynamics.repeated_schedule(3)
         assert a == a and a != b
         assert hash(a) == hash(a)
 
-    def test_repeated(self):
-        sched = dynamics.repeated_schedule(2, (0, 1), 5)
+    @pytest.mark.parametrize("n_events", [1, 5, 100])
+    def test_repeated(self, n_events):
+        sched = dynamics.repeated_schedule(n_events)
+        assert sched.n_qubits == 2
         assert sched.pairs == ((0, 1),)
-        np.testing.assert_array_equal(sched.index, np.zeros(5, dtype=int))
-        assert len(sched) == 5
+        np.testing.assert_array_equal(sched.index, np.zeros(n_events, dtype=int))
+        assert not sched.index.flags.writeable
+        assert len(sched) == n_events
 
     def test_random_is_reproducible(self):
         a = dynamics.random_schedule(3, 100, seed=42)
@@ -106,7 +109,7 @@ class TestSchedule:
 @pytest.mark.parametrize("call", [
     lambda: model.pair_collision_unitary(2, (0.0, 1.0), 0.5),
     lambda: model.pair_collision_unitary(2.0, (0, 1), 0.5),
-    lambda: dynamics.repeated_schedule(2, (0, 1), 2.5),
+    lambda: dynamics.repeated_schedule(1.5),
     lambda: dynamics.random_schedule(3, 2.5, 1),
     lambda: dynamics.random_schedule(3.0, 5, 1),
     lambda: dynamics.random_schedule(3, 5, 1.5),
@@ -114,9 +117,8 @@ class TestSchedule:
     lambda: dynamics.orbit_sweep([0.5], 2.5, (0, 2)),
     lambda: qmat.partial_trace(np.eye(4), 0.0),
     lambda: dynamics.Schedule(2, (5,), [0]),
-    lambda: dynamics.repeated_schedule(2, 5, 3),
     lambda: model.pair_collision_unitary(2, 5, 0.5),
-    lambda: dynamics.repeated_schedule(2, (0, 1), True),
+    lambda: dynamics.repeated_schedule(True),
     lambda: dynamics.random_schedule(3, True, 1),
     lambda: dynamics.orbit_sweep([0.5], True),
     lambda: dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, n_steps=True),
@@ -127,7 +129,7 @@ class TestSchedule:
     lambda: analysis.detect_period(np.zeros(100), True),
 ], ids=["unitary-pair", "unitary-size", "repeated-events", "random-events", "random-size",
         "random-seed", "markovian-steps", "orbit-collisions", "partial-trace-keep",
-        "schedule-non-pair", "repeated-non-pair", "unitary-non-pair", "repeated-events-bool",
+        "schedule-non-pair", "unitary-non-pair", "repeated-events-bool",
         "random-events-bool", "orbit-collisions-bool", "markovian-steps-bool",
         "partial-trace-keep-bool", "random-seed-bool", "unitary-pair-bool", "orbit-window-bool",
         "period-window-bool"])
@@ -141,24 +143,24 @@ def test_non_integer_counts_and_indices_raise_value_error(call):
 class TestCollide:
     def test_double_ground_invariant(self):
         reg = model.composite_initial(
-            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0)]
+            model.PureQubit(1.0, 0.0), model.ThermalAncilla(1.0), 1
         )
         out = collide(reg, (0, 1), 0.7)
         np.testing.assert_allclose(out, reg, atol=1e-15)
 
     def test_zero_probability_is_identity(self):
-        reg = model.composite_initial(PLUS, [ANC, ANC])
+        reg = model.composite_initial(PLUS, ANC, 2)
         out = collide(reg, (1, 2), 0.0)
         np.testing.assert_array_equal(out, reg)
 
     def test_preserves_trace_and_hermiticity(self):
-        reg = model.composite_initial(PLUS, [ANC])
+        reg = model.composite_initial(PLUS, ANC, 1)
         out = collide(reg, (0, 1), 0.37)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_four_half_collisions_restore_coherence(self):
-        reg = model.composite_initial(PLUS, [ANC])
+        reg = model.composite_initial(PLUS, ANC, 1)
         for _ in range(4):
             reg = collide(reg, (0, 1), 0.5)
         rho_a = qmat.partial_trace(reg, keep=0)
@@ -169,7 +171,7 @@ class TestCheckRegister:
     """The run loop's check on one matrix."""
 
     def test_accepts_valid(self):
-        assert violation(model.composite_initial(PLUS, [ANC])) is None
+        assert violation(model.composite_initial(PLUS, ANC, 1)) is None
 
     def test_rejects_trace_drift(self):
         assert "trace" in violation(np.eye(4, dtype=complex))
@@ -186,7 +188,7 @@ class TestCheckRegister:
 
 class TestRunTrajectory:
     def test_step_count_and_initial_record(self):
-        sched = dynamics.repeated_schedule(2, (0, 1), 10)
+        sched = dynamics.repeated_schedule(10)
         traj = dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
         assert all(len(column) == 11 for column in traj.columns.values())
         assert traj.columns["coherence_a"][0] == pytest.approx(1.0, abs=1e-12)
@@ -203,20 +205,20 @@ class TestRunTrajectory:
             np.testing.assert_allclose(got, reg, rtol=0, atol=1e-13)
 
     def test_paired_records_trace_distance(self):
-        sched = dynamics.repeated_schedule(2, (0, 1), 8)
+        sched = dynamics.repeated_schedule(8)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
         d = traj.columns["trace_distance"]
         expected = [abs(math.cos(n * math.pi / 4)) for n in range(9)]
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
     def test_single_run_reads_trace_distance_from_its_parity_mirror(self):
-        sched = dynamics.repeated_schedule(2, (0, 1), 3)
+        sched = dynamics.repeated_schedule(3)
         traj = dynamics.run_trajectory(PLUS, ANC, 0.5, sched)
         pair = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
         assert traj.columns["trace_distance"].tolist() == pair.columns["trace_distance"].tolist()
 
     def test_zero_p_freezes_all_metrics(self):
-        sched = dynamics.repeated_schedule(2, (0, 1), 6)
+        sched = dynamics.repeated_schedule(6)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.0, sched)
         for name in ("coherence_a", "coherence_env", "negativity", "trace_distance"):
             series = traj.columns[name]
@@ -235,7 +237,7 @@ class TestRunTrajectory:
             rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
             coherences.append(abs(rho_a[0, 1]) + abs(rho_a[1, 0]))
             rho = u @ rho @ u.conj().T
-        sched = dynamics.repeated_schedule(2, (0, 1), steps)
+        sched = dynamics.repeated_schedule(steps)
         traj = dynamics.run_trajectory(PLUS, ANC, p, sched)
         np.testing.assert_allclose(traj.columns["coherence_a"], coherences[: steps + 1], atol=1e-12)
         # rewind one extra conjugation applied in the loop above
@@ -249,7 +251,7 @@ class TestRunTrajectory:
         # preparation with three identical thermal ancillas.
         p = 0.5
         order = [(0, 2), (1, 2), (0, 3), (1, 3), (0, 1), (0, 1), (2, 3)]
-        rho = model.composite_initial(model.PureQubit(0.6, 0.8), [ANC] * 3)
+        rho = model.composite_initial(model.PureQubit(0.6, 0.8), ANC, 3)
         for pair in order:
             u = lit.SIXTEEN_BY_PAIR[pair](p)
             rho = u @ rho @ u.conj().T
@@ -264,7 +266,7 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("n_anc,p", [(1, 0.5), (2, 0.8), (3, 0.5)])
     def test_states_stay_valid_along_trajectory(self, n_anc, p):
         if n_anc == 1:
-            sched = dynamics.repeated_schedule(2, (0, 1), 150)
+            sched = dynamics.repeated_schedule(150)
         else:
             sched = dynamics.random_schedule(1 + n_anc, 150, seed=23)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
@@ -278,7 +280,7 @@ class TestRunTrajectory:
         if n_anc == 0:
             traj = dynamics.markovian_trajectory((PLUS, MINUS), 0.5, ANC, 5)
         else:
-            sched = (dynamics.repeated_schedule(2, (0, 1), 5) if n_anc == 1
+            sched = (dynamics.repeated_schedule(5) if n_anc == 1
                      else dynamics.random_schedule(1 + n_anc, 5, seed=23))
             traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.5, sched)
         dim = 2 ** (1 + n_anc)
@@ -290,7 +292,7 @@ class TestRunTrajectory:
 
 def per_step_negativity(p, n):
     """Negativity of copy 0 after each collision 0..n, one call per state re-stepped by collide."""
-    rho = model.composite_initial(PLUS, (ANC,))
+    rho = model.composite_initial(PLUS, ANC, 1)
     values = []
     for _ in range(n + 1):
         values.append(metrics.negativity(rho))
@@ -313,7 +315,7 @@ class TestNegativityPerChunk:
 
     @pytest.mark.parametrize("p", [0.3, 0.8])
     def test_column_equals_per_step_values_over_several_chunks(self, p):
-        sched = dynamics.repeated_schedule(2, (0, 1), 600)
+        sched = dynamics.repeated_schedule(600)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, p, sched)
         assert traj.columns["negativity"].tolist() == per_step_negativity(p, 600)
 
@@ -322,8 +324,8 @@ class TestNegativityPerChunk:
         # Chunks of a 3-point grid of one-ancilla pairs hold 85 steps: the
         # initial state, then collisions 1-85, 86-170, ..., 511-595, 596-600.
         grid = [0.3, 0.62, 0.8]
-        sched = dynamics.repeated_schedule(2, (0, 1), 600)
-        initial = np.stack([model.composite_initial(s, (ANC,)) for s in (PLUS, MINUS)])
+        sched = dynamics.repeated_schedule(600)
+        initial = np.stack([model.composite_initial(s, ANC, 1) for s in (PLUS, MINUS)])
         names = ["coherence_a", "coherence_env", "negativity", "trace_distance"]
         columns, _ = dynamics._run(initial, grid, sched, names, window)
         whole, _ = dynamics._run(initial, grid, sched, names)
@@ -452,7 +454,7 @@ class TestEnvironmentSize:
         # Quick ensemble version; the acceptance suite runs the full one.
         p, n_steps, seeds = 0.5, 100, range(10)
         single = dynamics.run_trajectory(
-            (PLUS, MINUS), ANC, p, dynamics.repeated_schedule(2, (0, 1), n_steps)
+            (PLUS, MINUS), ANC, p, dynamics.repeated_schedule(n_steps)
         )
         mean_1 = float(np.mean(single.columns["trace_distance"][1:]))
         means = {}
@@ -518,7 +520,7 @@ class TestOrbitSweep:
 
 def test_results_compare_by_identity():
     # Their fields hold arrays, whose == is elementwise and which cannot be hashed.
-    sched = dynamics.repeated_schedule(2, (0, 1), 5)
+    sched = dynamics.repeated_schedule(5)
     for run in (lambda: dynamics.orbit_sweep([0.5], 10), lambda: dynamics.run_trajectory(PLUS, ANC, 0.5, sched)):
         a, b = run(), run()
         assert a == a and a != b
@@ -570,7 +572,7 @@ class TestColumns:
     ])
     def test_collision_run_records_its_fields(self, capsys, n_anc, fields):
         if n_anc == 1:
-            sched = dynamics.repeated_schedule(2, (0, 1), 12)
+            sched = dynamics.repeated_schedule(12)
         else:
             sched = dynamics.random_schedule(1 + n_anc, 12, seed=5)
         traj = dynamics.run_trajectory((PLUS, MINUS), ANC, 0.6, sched)

@@ -117,7 +117,7 @@ class TestEveryCopyEveryStep:
         # The control for the test above: collide applies the same corrupted
         # unitary with no check, so the drift the run catches is really there.
         corrupt_pair(monkeypatch, (0, 2), np.eye(8) + 1e-6 * system_projector(KET_MINUS, 3))
-        plus, minus = (collide(model.composite_initial(s, [ANC, ANC]), (0, 2), 0.5)
+        plus, minus = (collide(model.composite_initial(s, ANC, 2), (0, 2), 0.5)
                        for s in PAIR)
         assert np.trace(plus).real == pytest.approx(1.0, abs=1e-14)
         assert np.trace(minus).real > 1.0 + 1e-6
@@ -129,7 +129,7 @@ def with_negative_eigenvalue(lam, n_qubits=2):
     The kernel of |-><-| (x) ancillas contains |+> (x) anything; the added
     pair keeps the trace at 1 and the matrix Hermitian.
     """
-    reg = model.composite_initial(MINUS, [ANC] * (n_qubits - 1))
+    reg = model.composite_initial(MINUS, ANC, n_qubits - 1)
     rest = 2 ** (n_qubits - 1)
     up = np.kron(KET_PLUS, np.eye(rest)[0])
     down = np.kron(KET_PLUS, np.eye(rest)[rest - 1])
@@ -154,10 +154,10 @@ class TestPositivityFloor:
         # negative eigenvalue keeps it, and the first check sees it.
         real = dynamics.composite_initial
 
-        def patched(system, ancillas):
+        def patched(system, ancilla, n_ancillas):
             if system == MINUS:
-                return with_negative_eigenvalue(lam, 1 + len(ancillas))
-            return real(system, ancillas)
+                return with_negative_eigenvalue(lam, 1 + n_ancillas)
+            return real(system, ancilla, n_ancillas)
 
         monkeypatch.setattr(dynamics, "composite_initial", patched)
         sched = dynamics.random_schedule(4, 20, seed=3)
@@ -172,11 +172,11 @@ class TestPositivityFloor:
 
 class TestNonFiniteState:
     def test_nan_entry_is_a_violation(self):
-        rho = model.composite_initial(PLUS, [ANC])
+        rho = model.composite_initial(PLUS, ANC, 1)
         rho[0, 3] = np.nan
         assert "Hermiticity" in violation(rho)
 
     def test_nan_diagonal_is_a_trace_violation(self):
-        rho = model.composite_initial(PLUS, [ANC])
+        rho = model.composite_initial(PLUS, ANC, 1)
         rho[1, 1] = np.nan
         assert "trace" in violation(rho)

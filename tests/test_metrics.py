@@ -85,7 +85,7 @@ class TestNegativity:
         # system and ancilla to about 0.13.
         u = model.pair_collision_unitary(2, (0, 1), 0.5)
         reg = model.composite_initial(
-            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8)]
+            model.PureQubit(HALF, HALF), model.ThermalAncilla(0.8), 1
         )
         rho1 = u @ reg @ u.conj().T
         value = metrics.negativity(rho1)
@@ -98,7 +98,7 @@ class TestNegativity:
 
     def test_system_environment_cut_on_larger_register(self):
         anc = model.ThermalAncilla(0.8)
-        reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc, anc])
+        reg = model.composite_initial(model.PureQubit(HALF, HALF), anc, 2)
         assert metrics.negativity(reg) < 1e-10
         u = model.pair_collision_unitary(3, (0, 1), 0.5)
         entangled = u @ reg @ u.conj().T

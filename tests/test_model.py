@@ -166,7 +166,7 @@ class TestPairCollisionUnitary:
 class TestCompositeInitial:
     def test_single_ancilla_product(self):
         reg = model.composite_initial(
-            model.PureQubit(HALF, HALF), [model.ThermalAncilla(0.8)]
+            model.PureQubit(HALF, HALF), model.ThermalAncilla(0.8), 1
         )
         expected = np.array(
             [
@@ -181,25 +181,30 @@ class TestCompositeInitial:
 
     def test_ground_times_ground(self):
         reg = model.composite_initial(
-            model.PureQubit(1.0, 0.0), [model.ThermalAncilla(1.0)]
+            model.PureQubit(1.0, 0.0), model.ThermalAncilla(1.0), 1
         )
         np.testing.assert_array_equal(reg, np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_three_ancillas_marginals(self):
         anc = model.ThermalAncilla(0.8)
-        reg = model.composite_initial(model.PureQubit(HALF, HALF), [anc] * 3)
+        reg = model.composite_initial(model.PureQubit(HALF, HALF), anc, 3)
         assert reg.shape == (16, 16)
         for k in (1, 2, 3):
             marginal = qmat.partial_trace(reg, keep=k)
             np.testing.assert_allclose(marginal, np.diag([0.8, 0.2]), atol=1e-14)
 
-    def test_rejects_ancilla_count(self):
-        with pytest.raises(ValueError, match="ancillas"):
-            model.composite_initial(model.PureQubit(1.0, 0.0), [])
-        with pytest.raises(ValueError, match="ancillas"):
-            model.composite_initial(
-                model.PureQubit(1.0, 0.0), [model.ThermalAncilla(0.8)] * 4
-            )
+    @pytest.mark.parametrize("n_ancillas", [1, 2, 3])
+    def test_equals_the_kron_chain(self, n_ancillas):
+        system, ancilla = model.PureQubit(0.6, 0.8), model.ThermalAncilla(0.7)
+        want = np.outer([0.6, 0.8], [0.6, 0.8])
+        for _ in range(n_ancillas):
+            want = np.kron(want, np.diag([0.7, 1.0 - 0.7]))
+        np.testing.assert_array_equal(model.composite_initial(system, ancilla, n_ancillas), want)
+
+    @pytest.mark.parametrize("n_ancillas", [0, 4, 2.5, True])
+    def test_rejects_ancilla_count(self, n_ancillas):
+        with pytest.raises(ValueError, match=f"need 1 to 3 ancillas, got {n_ancillas!r}"):
+            model.composite_initial(model.PureQubit(1.0, 0.0), model.ThermalAncilla(0.8), n_ancillas)
 
 
 def thermal_collision_kraus(p, w_g):

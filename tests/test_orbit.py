@@ -13,7 +13,7 @@ GRID = [0.5 + 0.005 * k for k in range(71)]
 
 
 def windowed_trajectory_series(p, window):
-    traj = dynamics.run_trajectory(PLUS, ANC, p, dynamics.repeated_schedule(2, (0, 1), N))
+    traj = dynamics.run_trajectory(PLUS, ANC, p, dynamics.repeated_schedule(N))
     return tuple(float(x) for x in traj.columns["coherence_a"][window[0]:window[1]])
 
 

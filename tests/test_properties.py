@@ -201,7 +201,7 @@ def test_minus_register_is_the_parity_mirror_of_the_plus_register(
     # too. w_g stays at or above 1/2, where the ancilla does not warn.
     n_qubits = 1 + n_ancillas
     if n_ancillas == 1:
-        schedule = dynamics.repeated_schedule(2, (0, 1), n_collisions)
+        schedule = dynamics.repeated_schedule(n_collisions)
     else:
         schedule = dynamics.random_schedule(n_qubits, n_collisions, seed,
                                             system_ancilla_only=system_ancilla_only)

@@ -14,18 +14,18 @@ from reference_steps import collide, purified_run, violation
 TOL = 1e-13
 
 
-def per_copy_run(states, ancillas, p, schedule):
+def per_copy_run(states, ancilla, n_ancillas, p, schedule):
     """One register per copy, one collide and one check per copy and step. A lone
     state also steps its parity mirror Z|psi> as the partner of its trace distance; the
     mirror's final register is not returned."""
     partners = states if len(states) == 2 else (*states, model.PureQubit(states[0].a, -states[0].b))
-    registers = [model.composite_initial(s, ancillas) for s in partners]
+    registers = [model.composite_initial(s, ancilla, n_ancillas) for s in partners]
     columns = {}
 
     def record():
         rho_a = qmat.partial_trace(registers[0], keep=0)
         rec = {"coherence_a": metrics.l1_coherence(rho_a)}
-        if len(ancillas) == 1:
+        if n_ancillas == 1:
             rho_env = qmat.partial_trace(registers[0], keep=1)
             rec["coherence_env"] = metrics.l1_coherence(rho_env)
             rec["negativity"] = metrics.negativity(registers[0])
@@ -57,7 +57,7 @@ def assert_run_matches(traj, n_collisions, want_columns, want_registers):
 
 def draw_schedule(n_ancillas, n_collisions, seed, system_ancilla_only):
     if n_ancillas == 1:
-        return dynamics.repeated_schedule(2, (0, 1), n_collisions)
+        return dynamics.repeated_schedule(n_collisions)
     return dynamics.random_schedule(1 + n_ancillas, n_collisions, seed, system_ancilla_only=system_ancilla_only)
 
 
@@ -88,11 +88,10 @@ def test_stacked_run_matches_per_copy_collide(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # w_g < 0.5 is a negative-temperature ancilla
         ancilla = model.ThermalAncilla(w_g)
-    ancillas = [ancilla] * n_ancillas
     schedule = draw_schedule(n_ancillas, n_collisions, seed, system_ancilla_only)
     traj = dynamics.run_trajectory(states, ancilla, p, schedule)
-    assert_run_matches(traj, n_collisions, *per_copy_run(states, ancillas, p, schedule))
-    assert_run_matches(traj, n_collisions, *purified_run(states, ancillas, p, schedule))
+    assert_run_matches(traj, n_collisions, *per_copy_run(states, ancilla, n_ancillas, p, schedule))
+    assert_run_matches(traj, n_collisions, *purified_run(states, [ancilla] * n_ancillas, p, schedule))
 
 
 @settings(max_examples=60, deadline=None)

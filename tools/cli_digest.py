@@ -4,16 +4,16 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 
 Imports qcollide from SRC_DIR and runs, in one process: the bench argvs of
 ``bench/workloads.py``'s WORKLOADS at workload seeds 1 and 5, the CASES of
-``tests/test_golden.py``, one three-ancilla JSON run, 20 bad inputs that exit 2
-with the CLI's own messages (four of them a p past 1 or NaN, which the collision
-unitary names), two ``--help`` texts, and nine runs at the edges where the trace
-distance of a lone |+> and its parity mirror must equal that of a stepped ± pair
-(p of 0 and 1, w_g below 1/2 and at 1, long runs), and three runs at the edge of the
-inverted-population warning, where the excited weight 1 - w_g equals or passes w_g
-(w_g of 0.5, 0, and 0.49999999999999994, whose excited weight rounds to 0.5):
-151 invocations in all. Prints one line per invocation: sha256 of stdout, sha256
-of stderr, exit code and argv. The invocations come from this checkout, so
-two trees are compared with
+``tests/test_golden.py``, one three-ancilla JSON run, 26 bad inputs that exit 2
+with the CLI's own messages (at least one for each exit-2 message of ``cli.py``,
+and four of them a p past 1 or NaN, which the collision unitary names), two
+``--help`` texts, and nine runs at the edges where the trace distance of a lone
+|+> and its parity mirror must equal that of a stepped ± pair (p of 0 and 1, w_g
+below 1/2 and at 1, long runs), and three runs at the edge of the inverted-population
+warning, where the excited weight 1 - w_g equals or passes w_g (w_g of 0.5, 0, and
+0.49999999999999994, whose excited weight rounds to 0.5): 157 invocations in all.
+Prints one line per invocation: sha256 of stdout, sha256 of stderr, exit code and
+argv. The invocations come from this checkout, so two trees are compared with
 ``diff <(python3 tools/cli_digest.py A/src) <(python3 tools/cli_digest.py B/src)``.
 """
 
@@ -30,10 +30,16 @@ EXTRA = [["trajectory", "--p", "0.62", "--ancillas", "3", "--seed", "11", "--col
 markovian --p-grid 0:1:1e-12
 orbit --p-grid 0:1e300:1e-300
 orbit --p-grid 1:0:0.1
+orbit --p-grid 0.5:0.6
+orbit --p-grid a:b:c
+orbit --p-grid 0:inf:0.1
+orbit --p-grid 0:1:0
 markovian --p 0.5 --p-grid 0:1:0.5
 markovian --p-grid 0:1:0.001 --collisions 2000
 trajectory --p 0.5 --collisions 0
 trajectory --p 0.5 --collisions 10 --window 5:50
+trajectory --p 0.5 --collisions 10 --window 5:5
+trajectory --collisions 5
 orbit --p 0.5 --collisions 10 --window 5:50
 trajectory --p 0.5 --window a:b
 trajectory --p 0.5 --ancillas 4
